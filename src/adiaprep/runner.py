@@ -288,25 +288,28 @@ def run_and_write(cfg: ExperimentConfig) -> tuple[RunResult, list[Path]]:
 
 SWEEP_PARAMETERS = {"T": "total_time", "dt": "step_width", "shots": "shots"}
 _REFERENCE_REFINEMENT = 64
-_deviation_cache: dict = {}
 
 
-def _trotter_deviation(spec: ModelSpec, schedule: AdiabaticSchedule) -> float:
-    """Norm distance between the split-step ramp and a fine reference ramp."""
+def _trotter_deviation(spec: ModelSpec, schedule: AdiabaticSchedule, cache: dict) -> float:
+    """Norm distance between the split-step ramp and a fine reference ramp.
+
+    cache belongs to one sweep, so a sweep over shots builds each reference
+    once and nothing outlives the call.
+    """
     key = (
         spec.initial.matrix.tobytes(),
         spec.target.matrix.tobytes(),
         schedule.total_time,
         schedule.step_width,
     )
-    if key not in _deviation_cache:
+    if key not in cache:
         coarse = run_adiabatic(spec, schedule, "trotter2")
         fine = AdiabaticSchedule(
             schedule.total_time, schedule.step_width / _REFERENCE_REFINEMENT
         )
         reference = run_adiabatic(spec, fine, "exact-midpoint")
-        _deviation_cache[key] = float(np.linalg.norm(coarse - reference))
-    return _deviation_cache[key]
+        cache[key] = float(np.linalg.norm(coarse - reference))
+    return cache[key]
 
 
 def sweep(
@@ -328,6 +331,7 @@ def sweep(
         raise ConfigError("sweep needs at least one value")
     field_name = SWEEP_PARAMETERS[parameter]
     rows: list[dict] = []
+    deviations: dict = {}
     for value in values:
         if parameter == "shots":
             if float(value) != int(float(value)) or float(value) < 0:
@@ -342,7 +346,7 @@ def sweep(
         entry = result.summary["observables"][label]
         deviation = None
         if sub.integrator == "trotter2":
-            deviation = _trotter_deviation(sub.build_model(), sub.build_schedule())
+            deviation = _trotter_deviation(sub.build_model(), sub.build_schedule(), deviations)
         rows.append(
             {
                 "parameter": parameter,

@@ -13,6 +13,7 @@ from adiaprep.config import (
     config_from_dict,
     preset_config,
 )
+from adiaprep import runner
 from adiaprep.runner import run_experiment, sweep
 
 # frozen from reference runs of the Hadamard-model ramp on the fig2 grid
@@ -293,6 +294,37 @@ def test_sweep_over_shots_shrinks_stderr(tmp_path):
     assert ratio == pytest.approx(np.sqrt(1000.0), rel=0.25)
     cells = path.read_text().splitlines()[1].split(",")
     assert cells[1] == "1000"
+
+
+def _count_reference_ramps(monkeypatch) -> list:
+    built = []
+    original = runner.run_adiabatic
+
+    def counting(spec, schedule, integrator="trotter2", **kwargs):
+        if integrator == "exact-midpoint":
+            built.append(schedule.step_width)
+        return original(spec, schedule, integrator, **kwargs)
+
+    monkeypatch.setattr(runner, "run_adiabatic", counting)
+    return built
+
+
+def test_sweep_reference_cache_lives_for_one_call(tmp_path, monkeypatch):
+    cfg = config_from_dict(
+        apply_set_overrides(
+            dict(PRESETS["fig1a"]),
+            ["shots=0", "total_time=4.5", f"outputs.directory={tmp_path}"],
+        )
+    )
+    built = _count_reference_ramps(monkeypatch)
+    first, _ = sweep(cfg, "T", [4.5])
+    second, _ = sweep(cfg, "T", [4.5])
+    assert len(built) == 2
+    assert first == second
+    built.clear()
+    rows, _ = sweep(cfg, "shots", [0, 100, 1000])
+    assert len(built) == 1
+    assert len({row["trotter_deviation"] for row in rows}) == 1
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

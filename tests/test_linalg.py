@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adiaprep import linalg
 from adiaprep.linalg import (
     EigenSystem,
     apply,
@@ -73,11 +74,45 @@ def test_eig_eigenvalues_ascending():
 
 def test_eig_is_deterministic():
     rng = np.random.default_rng(17)
-    m = random_hermitian(rng, 5)
-    a = eig_hermitian(m)
-    b = eig_hermitian(m)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    for m in (random_hermitian(rng, 2), random_hermitian(rng, 5), np.diag([1.0, 2.0, 1.0])):
+        a = eig_hermitian(m)
+        b = eig_hermitian(m)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_eig_returns_read_only_arrays():
+    es = eig_hermitian(HAD)
+    for array in (es.eigenvalues, es.eigenvectors):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_eig_one_by_one():
+    es = eig_hermitian(np.array([[-2.5]]))
+    assert es.eigenvalues.tolist() == [-2.5]
+    assert es.eigenvectors.tolist() == [[1.0 + 0.0j]]
+
+
+def test_eig_accepts_nested_lists():
+    es = eig_hermitian([[0, 1], [1, 0]])
+    ref = eig_hermitian(X)
+    assert np.array_equal(es.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(es.eigenvectors, ref.eigenvectors)
+    assert np.allclose(es.eigenvalues, [-1.0, 1.0], atol=1e-15)
+
+
+def test_eig_rejects_non_finite_entry_naming_it():
+    with pytest.raises(ValueError, match=r"non-finite matrix entry at \(1, 0\): \(nan\+0j\)"):
+        eig_hermitian([[1.0, 0.0], [np.nan, 1.0]])
+
+
+def test_eig_non_convergence_names_the_dimension(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    m = random_hermitian(np.random.default_rng(1), 4)
+    with pytest.raises(ArithmeticError, match=r"did not converge in 1 sweeps \(dimension 4, residual"):
+        eig_hermitian(m)
 
 
 def test_eig_degenerate_pair_ordered_by_pivot_index():
@@ -110,6 +145,19 @@ def test_eig_rejects_non_hermitian_naming_entry():
     m[0, 1] = 1e-3
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         eig_hermitian(m)
+
+
+def test_eig_non_hermitian_message_names_the_worst_entry():
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = 1e-3
+    m[2, 1] = 0.25 + 0.5j
+    m[1, 2] = 0.25 - 0.4j
+    with pytest.raises(ValueError) as err:
+        eig_hermitian(m)
+    assert str(err.value) == (
+        "matrix is not Hermitian within 1e-12: entry (1, 2) = (0.25-0.4j) "
+        "vs conjugate of (2, 1) = (0.25-0.5j), defect 1.000e-01"
+    )
 
 
 def test_eig_accepts_defect_within_tolerance():
