@@ -155,9 +155,10 @@ def _rotate(a: list[list[complex]], v: list[list[complex]], p: int, q: int) -> N
     else:
         t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    u = t * c * phase
+    s = t * c
+    u = s * phase
     uc = u.conjugate()
-    # columns p, q of the rotation G: gp = (c, -conj(u)), gq = (u, c).
+    # columns p, q of the rotation G: gp = (c, -s*conj(phase)), gq = (s*phase, c).
     # Rows p, q of G^H a; every other row only changes in columns p and q,
     # by the conjugates of these rows' entries.
     new_p = [x * c - y * u for x, y in zip(rp, rq)]

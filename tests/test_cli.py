@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from adiaprep import runner
 from adiaprep.cli import main
 from adiaprep.config import (
     ConfigError,
@@ -13,7 +14,6 @@ from adiaprep.config import (
     config_from_dict,
     preset_config,
 )
-from adiaprep import runner
 from adiaprep.runner import run_experiment, sweep
 
 # frozen from reference runs of the Hadamard-model ramp on the fig2 grid
