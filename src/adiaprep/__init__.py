@@ -23,14 +23,13 @@ from .evolve import (
     INTEGRATORS,
     ResidualDecomposition,
     decompose,
-    evolve_exact,
     exact_midpoint_step,
     initial_state,
     run_adiabatic,
     superposition_state,
     trotter2_step,
 )
-from .linalg import EigenSystem, apply, eig_hermitian, expm_minus_i
+from .linalg import EigenSystem, eig_hermitian, expm_minus_i
 from .measure import (
     ShotSampler,
     TimeSeries,
@@ -38,7 +37,6 @@ from .measure import (
     heisenberg_z_closed_form,
     hold_series,
     sample_expectation,
-    shot_std,
 )
 from .model import (
     AdiabaticSchedule,
@@ -71,12 +69,10 @@ __all__ = [
     "ShotSampler",
     "TimeSeries",
     "VacuumDiagnosis",
-    "apply",
     "decompose",
     "diagnose_anticommuting",
     "diagnose_general",
     "eig_hermitian",
-    "evolve_exact",
     "exact_midpoint_step",
     "expectation",
     "expm_minus_i",
@@ -95,7 +91,6 @@ __all__ = [
     "run_and_write",
     "run_experiment",
     "sample_expectation",
-    "shot_std",
     "spectral_gap_at",
     "superposition_state",
     "sweep",

@@ -143,7 +143,6 @@ class ExperimentConfig:
     observables: tuple = ("Z",)
     integrator: str = "trotter2"
     sample_dt: float | None = None
-    hold_integrator: str = "exact"
     mean_estimator: str = "minmax"
     outputs: OutputOptions = field(default_factory=OutputOptions)
 
@@ -155,20 +154,18 @@ class ExperimentConfig:
         )
         if isinstance(self.model, str):
             _require(self.model in ("model1", "model2"), "model", f"unknown model {self.model!r}")
-        for name in ("coupling", "total_time", "step_width", "hold_duration"):
+        positive = ["coupling", "total_time", "step_width", "hold_duration"]
+        if self.sample_dt is not None:
+            positive.append("sample_dt")
+        for name in positive:
             value = getattr(self, name)
             _require(
-                isinstance(value, (int, float)) and math.isfinite(value) and value > 0,
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and value > 0,
                 name,
-                f"must be > 0 (got {value!r})",
-            )
-        if self.sample_dt is not None:
-            _require(
-                isinstance(self.sample_dt, (int, float))
-                and math.isfinite(self.sample_dt)
-                and self.sample_dt > 0,
-                "sample_dt",
-                f"must be > 0 (got {self.sample_dt!r})",
+                f"must be a number > 0 (got {value!r})",
             )
         _require(
             isinstance(self.shots, int) and not isinstance(self.shots, bool) and self.shots >= 0,
@@ -186,11 +183,6 @@ class ExperimentConfig:
             f"must be 'trotter2' or 'exact-midpoint' (got {self.integrator!r})",
         )
         _require(
-            self.hold_integrator in ("exact", "trotter2"),
-            "hold_integrator",
-            f"must be 'exact' or 'trotter2' (got {self.hold_integrator!r})",
-        )
-        _require(
             self.mean_estimator in ("minmax", "arith"),
             "mean_estimator",
             f"must be 'minmax' or 'arith' (got {self.mean_estimator!r})",
@@ -206,6 +198,11 @@ class ExperimentConfig:
             "outputs.directory",
             "must be a non-empty path",
         )
+        for name in ("csv", "json", "svg"):
+            value = getattr(self.outputs, name)
+            _require(
+                isinstance(value, bool), f"outputs.{name}", f"must be true or false (got {value!r})"
+            )
 
     @property
     def sample_dt_resolved(self) -> float:
@@ -220,12 +217,20 @@ class ExperimentConfig:
                 base = model_two(self.coupling)
             else:
                 base = self._build_inline_model()
-            resolved = tuple(self._resolve_observable(o, base) for o in self.observables)
-            return replace(base, observables=resolved)
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"config field 'model': {exc}") from exc
+        try:
+            resolved = tuple(self._resolve_observable(o, base) for o in self.observables)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"config field 'observables': {exc}") from exc
+        labels = [o.label for o in resolved]
+        duplicates = sorted({label for label in labels if labels.count(label) > 1})
+        _require(not duplicates, "observables", f"duplicate labels {duplicates}")
+        return replace(base, observables=resolved)
 
     def _build_inline_model(self) -> ModelSpec:
         # inline matrices are dimensionless shapes; coupling stays the single
@@ -291,7 +296,6 @@ class ExperimentConfig:
             "integrator": self.integrator,
             "hold_duration": float(self.hold_duration),
             "sample_dt": self.sample_dt_resolved,
-            "hold_integrator": self.hold_integrator,
             "mean_estimator": self.mean_estimator,
             "shots": int(self.shots),
             "seed": int(self.seed),

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_state_vector, eig_hermitian, expm_minus_i
-from .model import AdiabaticSchedule, HermitianOperator, ModelSpec
+from .model import AdiabaticSchedule, ModelSpec
 
 __all__ = [
     "INTEGRATORS",
     "ResidualDecomposition",
     "decompose",
-    "evolve_exact",
     "exact_midpoint_step",
     "initial_state",
     "run_adiabatic",
@@ -62,12 +61,6 @@ def initial_state(spec: ModelSpec) -> np.ndarray:
     return es.eigenvectors[:, 0].copy()
 
 
-def evolve_exact(v: np.ndarray, hamiltonian, t: float) -> np.ndarray:
-    """Propagate v for time t under a constant Hamiltonian."""
-    m = hamiltonian.matrix if isinstance(hamiltonian, HermitianOperator) else hamiltonian
-    return expm_minus_i(m, t) @ v
-
-
 def _check_step_bounds(schedule: AdiabaticSchedule, t_start: float) -> None:
     end = max(schedule.total_time, schedule.discrete_end)
     if t_start < -1e-12 or t_start + schedule.step_width > end + 1e-9:
@@ -81,24 +74,17 @@ def trotter2_step(
     spec: ModelSpec,
     schedule: AdiabaticSchedule,
     t_start: float,
-    *,
-    outer: str = "initial",
 ) -> np.ndarray:
     """Symmetric split step over [t_start, t_start + dt].
 
-    Both Hamiltonian parts are frozen at the midpoint ramp parameter. The
-    outer half-steps use the initial part by default; outer="target" swaps
-    the roles (same order of accuracy, different error constant).
+    Both Hamiltonian parts are frozen at the midpoint ramp parameter; the
+    outer half-steps use the initial part, the inner full step the target.
     """
     _check_step_bounds(schedule, t_start)
     dt = schedule.step_width
     s_mid = schedule.s(t_start + 0.5 * dt)
     a = (1.0 - s_mid) * spec.initial.matrix
     b = s_mid * spec.target.matrix
-    if outer == "target":
-        a, b = b, a
-    elif outer != "initial":
-        raise ValueError(f"outer must be 'initial' or 'target', got {outer!r}")
     half = expm_minus_i(a, 0.5 * dt)
     return half @ (expm_minus_i(b, dt) @ (half @ v))
 
@@ -121,8 +107,6 @@ def run_adiabatic(
     spec: ModelSpec,
     schedule: AdiabaticSchedule,
     integrator: str = "trotter2",
-    *,
-    outer: str = "initial",
 ) -> np.ndarray:
     """Ramp the initial ground state to t = T and return the final state."""
     if integrator not in INTEGRATORS:
@@ -131,7 +115,7 @@ def run_adiabatic(
     dt = schedule.step_width
     for k in range(schedule.num_steps):
         if integrator == "trotter2":
-            v = trotter2_step(v, spec, schedule, k * dt, outer=outer)
+            v = trotter2_step(v, spec, schedule, k * dt)
         else:
             v = exact_midpoint_step(v, spec, schedule, k * dt)
     drift = abs(float(np.linalg.norm(v)) - 1.0)

@@ -30,12 +30,10 @@ import numpy as np
 __all__ = [
     "EigenSystem",
     "HERMITICITY_TOL",
-    "apply",
     "as_complex_matrix",
     "as_state_vector",
     "eig_hermitian",
     "expm_minus_i",
-    "hermiticity_defect",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -64,9 +62,10 @@ def _square_rows(m: np.ndarray) -> list[list[complex]]:
 
 
 def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting non-finite entries."""
+    """Coerce to a square complex128 matrix, rejecting non-finite entries and
+    matrices that are not Hermitian within HERMITICITY_TOL."""
     m = np.array(entries, dtype=np.complex128)
-    _square_rows(m)
+    _hermitian_part(_square_rows(m), HERMITICITY_TOL)
     return m
 
 
@@ -82,11 +81,6 @@ def as_state_vector(amplitudes, *, norm_tol: float = 1e-10) -> np.ndarray:
     if abs(norm - 1.0) > norm_tol:
         raise ValueError(f"state vector norm {norm!r} differs from 1 by more than {norm_tol:g}")
     return v
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry modulus of m minus its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def _hermitian_part(a: list[list[complex]], tol: float) -> list[list[complex]]:
@@ -217,9 +211,9 @@ def _canonicalize(
     return lam, v
 
 
-def eig_hermitian(m, *, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
+def eig_hermitian(m) -> EigenSystem:
     """Full eigensystem of a Hermitian matrix by cyclic Jacobi sweeps."""
-    a = _hermitian_part(_square_rows(np.asarray(m, dtype=np.complex128)), hermiticity_tol)
+    a = _hermitian_part(_square_rows(np.asarray(m, dtype=np.complex128)), HERMITICITY_TOL)
     n = len(a)
     # eigenvector columns, starting from the identity
     v = [[0j] * n for _ in range(n)]
@@ -246,19 +240,11 @@ def eig_hermitian(m, *, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem
     return EigenSystem(eigenvalues, eigenvectors)
 
 
-def expm_minus_i(m, t: float, *, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def expm_minus_i(m, t: float) -> np.ndarray:
     """Unitary exp(-i*m*t) for Hermitian m, via the eigendecomposition."""
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t!r}")
-    es = eig_hermitian(m, hermiticity_tol=hermiticity_tol)
+    es = eig_hermitian(m)
     v = es.eigenvectors
     return (v * np.exp(es.eigenvalues * (-1j * t))) @ v.conj().T
 
-
-def apply(m, v) -> np.ndarray:
-    """Dimension-checked matrix times vector."""
-    m = np.asarray(m, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {m.shape} applied to vector {v.shape}")
-    return m @ v

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_state_vector, eig_hermitian, expm_minus_i
+from .linalg import EigenSystem, as_state_vector, eig_hermitian
 from .model import HermitianOperator, ModelSpec, pauli
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "heisenberg_z_closed_form",
     "hold_series",
     "sample_expectation",
-    "shot_std",
 ]
 
 _SEED_MASK = (1 << 64) - 1
@@ -67,31 +66,32 @@ def expectation(v: np.ndarray, observable) -> float:
     return value.real
 
 
-def _born_distribution(v: np.ndarray, es) -> np.ndarray:
-    p = np.abs(es.eigenvectors.conj().T @ v) ** 2
-    return p / p.sum()
+def _sample_means(
+    states, es: EigenSystem, shots: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, in order: the average of `shots` projective measurements in
+    the eigenbasis es, drawn from gen, and its standard error."""
+    lam = es.eigenvalues
+    means = np.empty(len(states))
+    stderr = np.empty(len(states))
+    for k, w in enumerate(states):
+        p = np.abs(es.eigenvectors.conj().T @ w) ** 2
+        p = p / p.sum()
+        counts = gen.multinomial(int(shots), p)
+        means[k] = float(counts @ lam) / float(shots)
+        variance = float(p @ lam**2) - float(p @ lam) ** 2
+        stderr[k] = np.sqrt(max(variance, 0.0) / float(shots))
+    return means, stderr
 
 
-def shot_std(v: np.ndarray, observable) -> float:
-    """Single-shot standard deviation sqrt(<O^2> - <O>^2) of a projective measurement."""
-    v = as_state_vector(v)
-    es = eig_hermitian(_operator_matrix(observable))
-    p = _born_distribution(v, es)
-    mean = float(p @ es.eigenvalues)
-    second = float(p @ es.eigenvalues**2)
-    return float(np.sqrt(max(second - mean * mean, 0.0)))
-
-
-def sample_expectation(v: np.ndarray, observable, shots: int, sampler) -> float:
+def sample_expectation(v: np.ndarray, observable, shots: int, sampler: ShotSampler) -> float:
     """Average of `shots` projective measurements in the observable eigenbasis."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     v = as_state_vector(v)
     es = eig_hermitian(_operator_matrix(observable))
-    p = _born_distribution(v, es)
-    gen = sampler.generator if isinstance(sampler, ShotSampler) else sampler
-    counts = gen.multinomial(int(shots), p)
-    return float(counts @ es.eigenvalues) / float(shots)
+    means, _ = _sample_means([v], es, shots, sampler.generator)
+    return float(means[0])
 
 
 @dataclass(frozen=True)
@@ -143,45 +143,6 @@ class TimeSeries:
         return float(self.times[1] - self.times[0])
 
 
-def _split_diagonal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = np.diag(np.diagonal(m))
-    return d, m - d
-
-
-def _hold_states(
-    v: np.ndarray,
-    spec: ModelSpec,
-    times: np.ndarray,
-    hold_integrator: str,
-    substep_width: float | None,
-) -> list[np.ndarray]:
-    if hold_integrator == "exact":
-        es = eig_hermitian(spec.target.matrix)
-        coeff = es.eigenvectors.conj().T @ v
-        return [es.eigenvectors @ (np.exp(-1j * es.eigenvalues * t) * coeff) for t in times]
-    if hold_integrator != "trotter2":
-        raise ValueError(f"hold_integrator must be 'exact' or 'trotter2', got {hold_integrator!r}")
-    # split stepping under the constant target: diagonal part outside,
-    # off-diagonal remainder inside; useful only for comparison studies
-    sample_dt = float(times[1] - times[0])
-    width = sample_dt if substep_width is None else float(substep_width)
-    if not (np.isfinite(width) and width > 0.0):
-        raise ValueError(f"substep_width must be positive, got {substep_width!r}")
-    n_sub = max(1, int(round(sample_dt / width)))
-    d, r = _split_diagonal(spec.target.matrix)
-    w = sample_dt / n_sub
-    half = expm_minus_i(d, 0.5 * w)
-    middle = expm_minus_i(r, w)
-    step = half @ middle @ half
-    states = [v]
-    current = v
-    for _ in range(times.shape[0] - 1):
-        for _ in range(n_sub):
-            current = step @ current
-        states.append(current)
-    return states
-
-
 def hold_series(
     v_end: np.ndarray,
     spec: ModelSpec,
@@ -190,15 +151,13 @@ def hold_series(
     sample_dt: float,
     shots: int,
     sampler: ShotSampler,
-    *,
-    hold_integrator: str = "exact",
-    substep_width: float | None = None,
 ) -> TimeSeries:
     """Hold v_end under the constant target and record the observable.
 
-    shots = 0 records exact values only; otherwise each grid point also gets
-    an average of `shots` projective measurements and its standard error,
-    drawn from the sampler stream belonging to the observable's label.
+    The state is propagated exactly in the target's eigenbasis. shots = 0
+    records exact values only; otherwise each grid point also gets an
+    average of `shots` projective measurements and its standard error, drawn
+    from the sampler stream belonging to the observable's label.
     """
     if not (np.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive, got {duration!r}")
@@ -213,22 +172,15 @@ def hold_series(
     if n < 2:
         raise ValueError("hold window shorter than one sample interval")
     times = np.arange(n, dtype=np.float64) * sample_dt
-    states = _hold_states(v, spec, times, hold_integrator, substep_width)
+    es = eig_hermitian(spec.target.matrix)
+    coeff = es.eigenvectors.conj().T @ v
+    states = [es.eigenvectors @ (np.exp(-1j * es.eigenvalues * t) * coeff) for t in times]
     exact = np.array([expectation(w, observable) for w in states])
 
     sampled = stderr = None
     if shots > 0:
         o_es = eig_hermitian(observable.matrix)
-        lam = o_es.eigenvalues
-        gen = sampler.spawn(observable.label)
-        sampled = np.empty(n)
-        stderr = np.empty(n)
-        for k, w in enumerate(states):
-            p = _born_distribution(w, o_es)
-            counts = gen.multinomial(int(shots), p)
-            sampled[k] = float(counts @ lam) / float(shots)
-            variance = float(p @ lam**2) - float(p @ lam) ** 2
-            stderr[k] = np.sqrt(max(variance, 0.0) / float(shots))
+        sampled, stderr = _sample_means(states, o_es, shots, sampler.spawn(observable.label))
 
     return TimeSeries(
         times=times,

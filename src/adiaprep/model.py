@@ -45,25 +45,16 @@ class HermitianOperator:
     label: str
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix)
-        d = np.abs(m - m.conj().T)
-        worst = float(np.max(d))
-        if worst > 1e-12:
-            i, j = np.unravel_index(int(np.argmax(d)), d.shape)
-            raise ValueError(
-                f"operator {self.label!r} is not Hermitian: entry ({i}, {j}) "
-                f"defect {worst:.3e}"
-            )
+        try:
+            m = as_complex_matrix(self.matrix)
+        except ValueError as exc:
+            raise ValueError(f"operator {self.label!r}: {exc}") from exc
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def negated(self) -> "HermitianOperator":
-        label = self.label[1:] if self.label.startswith("-") else "-" + self.label
-        return HermitianOperator(-self.matrix, label)
 
 
 def pauli(name: str) -> HermitianOperator:

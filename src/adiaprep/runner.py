@@ -126,8 +126,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             cfg.sample_dt_resolved,
             cfg.shots,
             sampler,
-            hold_integrator=cfg.hold_integrator,
-            substep_width=cfg.step_width,
         )
         series_map[observable.label] = series
 

@@ -251,6 +251,43 @@ def test_cli_rejects_observable_dimension_mismatch(tmp_path):
         config_from_dict(data).build_model()
 
 
+def test_cli_rejects_booleans_in_float_fields(capsys):
+    # JSON true is a Python int subclass; it must not pass as J = 1
+    for name in ("coupling", "total_time", "step_width", "hold_duration", "sample_dt"):
+        assert run_cli(["validate", "--preset", "fig2", "--set", f"{name}=true"]) == 2
+        assert f"config field {name!r}" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_boolean_output_flags(capsys):
+    for name, text in (("svg", "no"), ("csv", "1"), ("json", '"true"')):
+        assert run_cli(["validate", "--preset", "fig2", "--set", f"outputs.{name}={text}"]) == 2
+        assert f"config field 'outputs.{name}'" in capsys.readouterr().err
+
+
+def test_non_hermitian_inline_observable_names_the_observables_field():
+    data = apply_set_overrides(
+        dict(PRESETS["fig1a"]),
+        ['observables=[{"label":"bad","matrix":[[0,1],[0,0]]}]'],
+    )
+    with pytest.raises(ConfigError, match=r"^config field 'observables': .*'bad'.*not Hermitian"):
+        config_from_dict(data).build_model()
+
+
+def test_unknown_observable_label_names_the_observables_field(capsys):
+    assert run_cli(["validate", "--preset", "fig1a", "--set", 'observables=["Q"]']) == 2
+    err = capsys.readouterr().err
+    assert "config field 'observables'" in err and "'Q'" in err
+    assert "'model'" not in err
+
+
+def test_duplicate_observable_labels_are_rejected(capsys):
+    data = apply_set_overrides(dict(PRESETS["fig1a"]), ['observables=["Z","-X","Z"]'])
+    with pytest.raises(ConfigError, match=r"'observables': duplicate labels \['Z'\]"):
+        config_from_dict(data).build_model()
+    assert run_cli(["validate", "--preset", "fig1a", "--set", 'observables=["Z","Z"]']) == 2
+    assert "duplicate labels" in capsys.readouterr().err
+
+
 def test_sweep_over_step_width(tmp_path):
     cfg = preset_config("fig2")
     cfg = config_from_dict(

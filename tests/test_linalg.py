@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from adiaprep import linalg
 from adiaprep.linalg import (
     EigenSystem,
-    apply,
     as_complex_matrix,
     as_state_vector,
     eig_hermitian,
     expm_minus_i,
-    hermiticity_defect,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -240,17 +238,6 @@ def test_expm_rejects_non_finite_time():
         expm_minus_i(Z, np.inf)
 
 
-def test_apply_basics():
-    v = np.array([1.0, 0.0], dtype=complex)
-    assert np.allclose(apply(X, v), [0.0, 1.0])
-    assert np.allclose(apply(HAD, v), [1.0 / SQRT2, 1.0 / SQRT2])
-
-
-def test_apply_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        apply(np.eye(3), np.array([1.0, 0.0]))
-
-
 def test_as_complex_matrix_rejects_bad_shapes_and_nans():
     with pytest.raises(ValueError, match="square"):
         as_complex_matrix(np.zeros((2, 3)))
@@ -265,11 +252,6 @@ def test_as_state_vector_norm_check():
         as_state_vector([1.0, 1.0])
     v = as_state_vector([1.0 / SQRT2, 1.0 / SQRT2])
     assert v.dtype == np.complex128
-
-
-def test_hermiticity_defect_value():
-    m = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
-    assert hermiticity_defect(m) == pytest.approx(0.5)
 
 
 def test_eigensystem_dim():

@@ -10,7 +10,6 @@ from adiaprep.measure import (
     heisenberg_z_closed_form,
     hold_series,
     sample_expectation,
-    shot_std,
 )
 from adiaprep.model import AdiabaticSchedule, model_one, model_two, observable_from_label, pauli
 
@@ -34,11 +33,6 @@ def test_expectation_of_z_on_hadamard_ground_state():
 def test_expectation_dimension_check():
     with pytest.raises(ValueError, match="mismatch"):
         expectation(np.array([1.0, 0.0, 0.0], dtype=complex) , pauli("Z"))
-
-
-def test_shot_std_extremes():
-    assert shot_std(PLUS, pauli("Z")) == pytest.approx(1.0, abs=1e-12)
-    assert shot_std(KET0, pauli("Z")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sample_expectation_eigenstate_is_exact():
@@ -189,41 +183,6 @@ def test_hold_series_validation():
         hold_series(psi, spec, pauli("Z"), 1.0, -0.1, 0, sampler)
     with pytest.raises(ValueError, match="shots"):
         hold_series(psi, spec, pauli("Z"), 1.0, 0.1, -1, sampler)
-
-
-def test_hold_series_trotter_integrator_exact_for_offdiagonal_target():
-    # the bit-flip target has no diagonal part, so the split hold is exact
-    spec = model_one(1.0)
-    psi = superposition_state(spec, 0.2, 0.0)
-    exact = hold_series(psi, spec, pauli("Z"), 2.0, 0.125, 0, ShotSampler(0))
-    split = hold_series(
-        psi, spec, pauli("Z"), 2.0, 0.125, 0, ShotSampler(0), hold_integrator="trotter2"
-    )
-    assert np.max(np.abs(exact.exact_values - split.exact_values)) < 1e-12
-
-
-def test_hold_series_trotter_integrator_second_order_for_hadamard_target():
-    spec = model_two(np.pi / 4.0)
-    psi = superposition_state(spec, 0.1, 0.0)
-    exact = hold_series(psi, spec, pauli("Z"), 4.0, 0.25, 0, ShotSampler(0))
-    errors = []
-    for width in (0.25, 0.125):
-        split = hold_series(
-            psi, spec, pauli("Z"), 4.0, 0.25, 0, ShotSampler(0),
-            hold_integrator="trotter2", substep_width=width,
-        )
-        errors.append(np.max(np.abs(split.exact_values - exact.exact_values)))
-    assert errors[0] < 1e-2
-    assert 3.0 < errors[0] / errors[1] < 5.0
-
-
-def test_hold_series_rejects_unknown_integrator():
-    spec = model_one(1.0)
-    with pytest.raises(ValueError, match="hold_integrator"):
-        hold_series(
-            spec.reference_ground_state, spec, pauli("Z"), 1.0, 0.1, 0, ShotSampler(0),
-            hold_integrator="rk4",
-        )
 
 
 def test_heisenberg_z_closed_form_at_zero_is_z():

@@ -44,8 +44,12 @@ def test_observable_from_label_negation():
 
 
 def test_hermitian_operator_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="not Hermitian") as err:
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
+    # the message names the operator, the worst entry and its defect
+    message = str(err.value)
+    assert message.startswith("operator 'bad': ")
+    assert "entry (0, 1)" in message and "defect 1.000e+00" in message
 
 
 def test_hermitian_operator_matrix_is_frozen():
@@ -113,7 +117,14 @@ def test_model_spec_rejects_non_eigenvector_references():
     up = np.array([1.0, 0.0], dtype=complex)
     down = np.array([0.0, 1.0], dtype=complex)
     with pytest.raises(ValueError, match="eigenvector"):
-        ModelSpec(pauli("Z").negated(), pauli("X").negated(), 1.0, (), up, down)
+        ModelSpec(
+            HermitianOperator(-pauli("Z").matrix, "-Z"),
+            HermitianOperator(-pauli("X").matrix, "-X"),
+            1.0,
+            (),
+            up,
+            down,
+        )
 
 
 def test_model_spec_rejects_swapped_ground_and_excited():

@@ -1,0 +1,49 @@
+import importlib
+import inspect
+
+import pytest
+
+import adiaprep
+from adiaprep.config import PRESETS, ConfigError, config_from_dict
+
+MODULES = ("analyze", "config", "evolve", "linalg", "measure", "model", "runner", "svgplot")
+
+# removed helpers and options; none may come back as an export or attribute
+REMOVED = {
+    "linalg": ("apply", "hermiticity_defect"),
+    "evolve": ("evolve_exact",),
+    "measure": ("shot_std",),
+}
+
+
+def test_package_exports_resolve():
+    for name in adiaprep.__all__:
+        assert hasattr(adiaprep, name), name
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_exports_resolve(module_name):
+    module = importlib.import_module(f"adiaprep.{module_name}")
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_removed_names_are_gone():
+    for module_name, names in REMOVED.items():
+        module = importlib.import_module(f"adiaprep.{module_name}")
+        for name in names:
+            assert not hasattr(module, name), f"{module_name}.{name}"
+            assert name not in adiaprep.__all__ and not hasattr(adiaprep, name), name
+    assert not hasattr(adiaprep.HermitianOperator, "negated")
+
+
+def test_removed_options_are_gone():
+    for fn, option in (
+        (adiaprep.trotter2_step, "outer"),
+        (adiaprep.run_adiabatic, "outer"),
+        (adiaprep.hold_series, "hold_integrator"),
+        (adiaprep.hold_series, "substep_width"),
+    ):
+        assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
+    with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):
+        config_from_dict({**PRESETS["fig2"], "hold_integrator": "exact"})
