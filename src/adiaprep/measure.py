@@ -3,6 +3,8 @@
 After the ramp ends the state evolves under the constant target; values are
 recorded on a uniform time grid, exactly and (optionally) as averages of a
 finite number of projective shots drawn from the observable's eigenbasis.
+The hold record is computed over the whole grid at once: one row of a
+(points, dim) array per grid point, with no Python loop per point.
 """
 
 from __future__ import annotations
@@ -66,22 +68,31 @@ def expectation(v: np.ndarray, observable) -> float:
     return value.real
 
 
+def _matvec_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m @ row for every row, as a stack of matrix-vector products; each row
+    gets the bits a single `m @ row` gives, whatever the number of rows."""
+    return (m @ rows[:, :, None])[:, :, 0]
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k (b may be one shared vector), as a stack of
+    dot products with the bits of a single `a[k] @ b[k]`."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 def _sample_means(
-    states, es: EigenSystem, shots: int, gen: np.random.Generator
+    states: np.ndarray, es: EigenSystem, shots: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, in order: the average of `shots` projective measurements in
-    the eigenbasis es, drawn from gen, and its standard error."""
+    """Per row of states, in order: the average of `shots` projective
+    measurements in the eigenbasis es, drawn from gen, and its standard error."""
     lam = es.eigenvalues
-    means = np.empty(len(states))
-    stderr = np.empty(len(states))
-    for k, w in enumerate(states):
-        p = np.abs(es.eigenvectors.conj().T @ w) ** 2
-        p = p / p.sum()
-        counts = gen.multinomial(int(shots), p)
-        means[k] = float(counts @ lam) / float(shots)
-        variance = float(p @ lam**2) - float(p @ lam) ** 2
-        stderr[k] = np.sqrt(max(variance, 0.0) / float(shots))
-    return means, stderr
+    p = np.abs(_matvec_rows(es.eigenvectors.conj().T, states)) ** 2
+    p = p / p.sum(axis=1, keepdims=True)
+    # 2-D pvals draw row by row from gen, as one multinomial call per row would
+    counts = gen.multinomial(int(shots), p)
+    means = _dot_rows(counts, lam) / float(shots)
+    variance = _dot_rows(p, lam**2) - _dot_rows(p, lam) ** 2
+    return means, np.sqrt(np.maximum(variance, 0.0) / float(shots))
 
 
 def sample_expectation(v: np.ndarray, observable, shots: int, sampler: ShotSampler) -> float:
@@ -90,7 +101,7 @@ def sample_expectation(v: np.ndarray, observable, shots: int, sampler: ShotSampl
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     v = as_state_vector(v)
     es = eig_hermitian(_operator_matrix(observable))
-    means, _ = _sample_means([v], es, shots, sampler.generator)
+    means, _ = _sample_means(v[None, :], es, shots, sampler.generator)
     return float(means[0])
 
 
@@ -174,8 +185,13 @@ def hold_series(
     times = np.arange(n, dtype=np.float64) * sample_dt
     es = eig_hermitian(spec.target.matrix)
     coeff = es.eigenvectors.conj().T @ v
-    states = [es.eigenvectors @ (np.exp(-1j * es.eigenvalues * t) * coeff) for t in times]
-    exact = np.array([expectation(w, observable) for w in states])
+    phased = np.exp(-1j * np.outer(times, es.eigenvalues)) * coeff
+    states = _matvec_rows(es.eigenvectors, phased)
+    values = _dot_rows(states.conj(), _matvec_rows(observable.matrix, states))
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > 1e-12:
+        raise ArithmeticError(f"expectation has imaginary residue {residue:.3e}")
+    exact = values.real
 
     sampled = stderr = None
     if shots > 0:

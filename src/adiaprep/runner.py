@@ -213,12 +213,10 @@ def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None
         f"# shots per point: {series.shots_per_point}",
         "t,exact,sampled,stderr",
     ]
-    sampled = series.sampled_values
-    stderr = series.stderr_values
-    for k in range(series.n_points):
-        s = _fmt(sampled[k]) if sampled is not None else ""
-        e = _fmt(stderr[k]) if stderr is not None else ""
-        lines.append(f"{_fmt(series.times[k])},{_fmt(series.exact_values[k])},{s},{e}")
+    cells = (series.times, series.exact_values, series.sampled_values, series.stderr_values)
+    row = ",".join("" if c is None else FLOAT_FMT for c in cells)
+    columns = [c.tolist() for c in cells if c is not None]
+    lines.extend(row % values for values in zip(*columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -112,7 +112,15 @@ def line_plot(
                  f'fill="none" {axis_style}/>')
 
     for (label, y, color), values in zip(curves, ys):
-        points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, values))
+        # px and py inlined, same operation order, so every point rounds alike
+        points = " ".join(
+            "%.2f,%.2f"
+            % (
+                MARGIN_L + (a - x_lo) / (x_hi - x_lo) * plot_w,
+                MARGIN_T + (y_hi - b) / (y_hi - y_lo) * plot_h,
+            )
+            for a, b in zip(x, values)
+        )
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
 

@@ -1,17 +1,28 @@
+import types
+
 import numpy as np
 import pytest
 
 from adiaprep.evolve import run_adiabatic, superposition_state
-from adiaprep.linalg import expm_minus_i
+from adiaprep.linalg import eig_hermitian, expm_minus_i
 from adiaprep.measure import (
     ShotSampler,
     TimeSeries,
+    _sample_means,
     expectation,
     heisenberg_z_closed_form,
     hold_series,
     sample_expectation,
 )
-from adiaprep.model import AdiabaticSchedule, model_one, model_two, observable_from_label, pauli
+from adiaprep.model import (
+    AdiabaticSchedule,
+    HermitianOperator,
+    ModelSpec,
+    model_one,
+    model_two,
+    observable_from_label,
+    pauli,
+)
 
 SQRT2 = np.sqrt(2.0)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -57,6 +68,41 @@ def test_sample_expectation_concentrates_with_shots():
 def test_sample_expectation_rejects_zero_shots():
     with pytest.raises(ValueError, match="shots"):
         sample_expectation(PLUS, pauli("Z"), 0, ShotSampler(1))
+
+
+def _random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
+def _loop_sample_means(states, es, shots, gen):
+    """Reference: one multinomial draw and one set of dot products per state."""
+    lam = es.eigenvalues
+    means, stderr = [], []
+    for w in states:
+        p = np.abs(es.eigenvectors.conj().T @ w) ** 2
+        p = p / p.sum()
+        counts = gen.multinomial(shots, p)
+        means.append(float(counts @ lam) / shots)
+        variance = float(p @ lam**2) - float(p @ lam) ** 2
+        stderr.append(np.sqrt(max(variance, 0.0) / shots))
+    return np.array(means), np.array(stderr)
+
+
+def test_sample_means_stack_draws_row_by_row_from_one_stream():
+    rng = np.random.default_rng(11)
+    for dim in (2, 3):
+        es = eig_hermitian(_random_hermitian(rng, dim))
+        states = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        means, stderr = _sample_means(states, es, 1000, np.random.default_rng(4))
+        gen = np.random.default_rng(4)
+        rows = [_sample_means(states[k : k + 1], es, 1000, gen) for k in range(dim)]
+        assert np.array_equal(means, np.concatenate([m for m, _ in rows]))
+        assert np.array_equal(stderr, np.concatenate([e for _, e in rows]))
+        loop_means, loop_stderr = _loop_sample_means(states, es, 1000, np.random.default_rng(4))
+        assert np.array_equal(means, loop_means)
+        assert np.array_equal(stderr, loop_stderr)
 
 
 def test_sampler_streams_differ_by_label():
@@ -171,6 +217,54 @@ def test_hold_series_sampling_is_deterministic():
     _, c = hold_fixture(shots=1000, seed=10)
     assert np.array_equal(a.sampled_values, b.sampled_values)
     assert not np.array_equal(a.sampled_values, c.sampled_values)
+
+
+def _three_level_spec():
+    target = np.array(
+        [[-1.0, 0.3, 0.1j], [0.3, 0.2, 0.25], [-0.1j, 0.25, 0.9]], dtype=complex
+    )
+    _, vecs = np.linalg.eigh(target)
+    return ModelSpec(
+        HermitianOperator(np.diag([-1.0, 0.0, 1.0]).astype(complex), "H0"),
+        HermitianOperator(target, "HT"),
+        1.0,
+        (),
+        vecs[:, 0],
+        vecs[:, 1],
+    )
+
+
+def test_hold_series_exact_channel_matches_propagator_at_every_point():
+    rng = np.random.default_rng(8)
+    two = model_two(np.pi / 4.0)
+    cases = [
+        (two, run_adiabatic(two, AdiabaticSchedule(9.0, 1.0 / 24.0)), pauli("Z")),
+        (model_one(1.0), superposition_state(model_one(1.0), 0.2, 0.3), pauli("Z")),
+    ]
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    three = _three_level_spec()
+    cases.append((three, psi / np.linalg.norm(psi), HermitianOperator(_random_hermitian(rng, 3), "O")))
+    for spec, v, o in cases:
+        series = hold_series(v, spec, o, 6.0, 0.125, 0, ShotSampler(0))
+        es = eig_hermitian(spec.target.matrix)
+        coeff = es.eigenvectors.conj().T @ v
+        for k, t in enumerate(series.times):
+            w = expm_minus_i(spec.target.matrix, t) @ v
+            assert abs(series.exact_values[k] - expectation(w, o)) < 1e-14
+            # the same arithmetic as propagating this one point on its own
+            w = es.eigenvectors @ (np.exp(-1j * es.eigenvalues * t) * coeff)
+            assert series.exact_values[k] == expectation(w, o)
+
+
+def test_hold_series_rejects_imaginary_residue():
+    # HermitianOperator rejects such a matrix, so a stand-in reaches the guard
+    spec = model_one(1.0)
+    raising = types.SimpleNamespace(
+        label="N", dim=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    )
+    psi = superposition_state(spec, 0.2, 0.3)
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        hold_series(psi, spec, raising, 1.0, 0.1, 0, ShotSampler(0))
 
 
 def test_hold_series_validation():
