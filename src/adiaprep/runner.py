@@ -206,7 +206,7 @@ def _series_filename(label: str) -> str:
 
 
 def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None:
-    lines = [
+    header = [
         f"# observable {series.observable_label}",
         "# t is the hold time since the end of preparation; "
         f"absolute time = t + {_fmt(total_time)}",
@@ -214,10 +214,11 @@ def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None
         "t,exact,sampled,stderr",
     ]
     cells = (series.times, series.exact_values, series.sampled_values, series.stderr_values)
-    row = ",".join("" if c is None else FLOAT_FMT for c in cells)
+    row = ",".join("" if c is None else FLOAT_FMT for c in cells) + "\n"
     columns = [c.tolist() for c in cells if c is not None]
-    lines.extend(row % values for values in zip(*columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join(header) + "\n")
+        f.writelines(row % values for values in zip(*columns))
 
 
 def _jsonable(value):

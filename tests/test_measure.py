@@ -242,8 +242,8 @@ def test_hold_series_exact_channel_matches_propagator_at_every_point():
         (model_one(1.0), superposition_state(model_one(1.0), 0.2, 0.3), pauli("Z")),
     ]
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    three = _three_level_spec()
-    cases.append((three, psi / np.linalg.norm(psi), HermitianOperator(_random_hermitian(rng, 3), "O")))
+    o3 = HermitianOperator(_random_hermitian(rng, 3), "O")
+    cases.append((_three_level_spec(), psi / np.linalg.norm(psi), o3))
     for spec, v, o in cases:
         series = hold_series(v, spec, o, 6.0, 0.125, 0, ShotSampler(0))
         es = eig_hermitian(spec.target.matrix)
@@ -259,12 +259,12 @@ def test_hold_series_exact_channel_matches_propagator_at_every_point():
 def test_hold_series_rejects_imaginary_residue():
     # HermitianOperator rejects such a matrix, so a stand-in reaches the guard
     spec = model_one(1.0)
-    raising = types.SimpleNamespace(
+    non_hermitian = types.SimpleNamespace(
         label="N", dim=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     )
     psi = superposition_state(spec, 0.2, 0.3)
     with pytest.raises(ArithmeticError, match="imaginary residue"):
-        hold_series(psi, spec, raising, 1.0, 0.1, 0, ShotSampler(0))
+        hold_series(psi, spec, non_hermitian, 1.0, 0.1, 0, ShotSampler(0))
 
 
 def test_hold_series_validation():
