@@ -2,6 +2,14 @@
 
 Output is deterministic: fixed canvas, fixed tick ladder, fixed float
 formatting, so repeated runs produce byte-identical files.
+
+Curves are drawn at the resolution of the plot area with M4 aggregation
+(Jugel et al., PVLDB 7(10), 2014). A point's pixel column is
+floor((x - x_lo) / (x_hi - x_lo) * plot_w), so the last point sits alone in
+column plot_w. Of each column the polyline keeps the first, the last, the
+lowest and the highest point (ties to the first index), in time order. The
+rasterised line is the same, and a column that holds one point keeps it, so
+a curve with at most one point per column is drawn in full.
 """
 
 from __future__ import annotations
@@ -9,6 +17,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 __all__ = ["line_plot"]
 
@@ -40,6 +50,21 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _m4_keep(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mask of each column's first, last, lowest and highest point.
+
+    starts and sizes give the contiguous columns; ties go to the first index.
+    """
+    keep = np.zeros(len(values), dtype=bool)
+    keep[starts] = keep[starts + sizes - 1] = True
+    index = np.arange(len(values))
+    for reduce in (np.minimum, np.maximum):
+        extreme = np.repeat(reduce.reduceat(values, starts), sizes)
+        at_extreme = np.where(values == extreme, index, len(values))
+        keep[np.minimum.reduceat(at_extreme, starts)] = True
+    return keep
+
+
 def line_plot(
     path: str | Path,
     x,
@@ -49,20 +74,31 @@ def line_plot(
     xlabel: str = "",
     ylabel: str = "",
 ) -> Path:
-    """Write a line plot; curves is a list of (label, y-values, css color)."""
-    x = [float(v) for v in x]
-    if len(x) < 2:
-        raise ValueError("need at least two x values")
-    ys = [list(map(float, y)) for _, y, _ in curves]
+    """Write a line plot; curves is a list of (label, y-values, css color).
+
+    x must be finite and strictly increasing, and every curve finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or len(x) < 2:
+        raise ValueError("need at least two x values in a 1-D sequence")
+    if not np.isfinite(x).all():
+        raise ValueError("x values must be finite")
+    if not (np.diff(x) > 0).all():
+        raise ValueError("x values must be strictly increasing")
+    ys = [np.asarray(y, dtype=np.float64) for _, y, _ in curves]
     if not ys:
         raise ValueError("need at least one curve")
-    for y in ys:
-        if len(y) != len(x):
-            raise ValueError("curve length does not match x")
+    for (label, _, _), y in zip(curves, ys):
+        if y.shape != x.shape:
+            raise ValueError(
+                f"curve {label!r}: length {len(y)} does not match {len(x)} x values"
+            )
+        if not np.isfinite(y).all():
+            raise ValueError(f"curve {label!r}: values must be finite")
 
-    x_lo, x_hi = min(x), max(x)
-    y_lo = min(min(y) for y in ys)
-    y_hi = max(max(y) for y in ys)
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo = min(float(y.min()) for y in ys)
+    y_hi = max(float(y.max()) for y in ys)
     if y_hi - y_lo < 1e-12:
         pad = max(abs(y_hi), 1.0) * 0.05
         y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -111,15 +147,20 @@ def line_plot(
     parts.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" {axis_style}/>')
 
-    for (label, y, color), values in zip(curves, ys):
-        # px and py inlined, same operation order, so every point rounds alike
+    # px and py as array maps in the same operation order, so every point
+    # rounds alike; x is increasing, so each pixel column is one run of x
+    offset = (x - x_lo) / (x_hi - x_lo) * plot_w
+    starts = np.flatnonzero(np.diff(np.floor(offset), prepend=-1.0))
+    sizes = np.diff(starts, append=len(x))
+    xs = MARGIN_L + offset
+    for (_, _, color), values in zip(curves, ys):
+        keep = _m4_keep(values, starts, sizes)
         points = " ".join(
-            "%.2f,%.2f"
-            % (
-                MARGIN_L + (a - x_lo) / (x_hi - x_lo) * plot_w,
-                MARGIN_T + (y_hi - b) / (y_hi - y_lo) * plot_h,
+            "%.2f,%.2f" % p
+            for p in zip(
+                xs[keep].tolist(),
+                (MARGIN_T + (y_hi - values[keep]) / (y_hi - y_lo) * plot_h).tolist(),
             )
-            for a, b in zip(x, values)
         )
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
