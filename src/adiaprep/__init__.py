@@ -42,12 +42,10 @@ from .model import (
     AdiabaticSchedule,
     HermitianOperator,
     ModelSpec,
-    hamiltonian_at,
     model_one,
     model_two,
     observable_from_label,
     pauli,
-    spectral_gap_at,
 )
 from .runner import RunResult, run_experiment, run_and_write, sweep
 
@@ -76,7 +74,6 @@ __all__ = [
     "exact_midpoint_step",
     "expectation",
     "expm_minus_i",
-    "hamiltonian_at",
     "heisenberg_z_closed_form",
     "hold_series",
     "initial_state",
@@ -91,7 +88,6 @@ __all__ = [
     "run_and_write",
     "run_experiment",
     "sample_expectation",
-    "spectral_gap_at",
     "superposition_state",
     "sweep",
     "trotter2_step",

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 MIN_SAMPLES_PER_PERIOD = 16
+# each names the OscillationStats field mean_<estimator>
+MEAN_ESTIMATORS = ("minmax", "arith")
 
 
 @dataclass(frozen=True)
@@ -155,11 +157,10 @@ def _smaller_weight_root(alpha_beta_sq: float) -> float:
 
 
 def _pick_mean(stats: OscillationStats, estimator: str) -> float:
-    if estimator == "minmax":
-        return stats.mean_minmax
-    if estimator == "arith":
-        return stats.mean_arith
-    raise ValueError(f"mean_estimator must be 'minmax' or 'arith', got {estimator!r}")
+    if estimator not in MEAN_ESTIMATORS:
+        choices = " or ".join(map(repr, MEAN_ESTIMATORS))
+        raise ValueError(f"mean_estimator must be {choices}, got {estimator!r}")
+    return getattr(stats, f"mean_{estimator}")
 
 
 def diagnose_anticommuting(

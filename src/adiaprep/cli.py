@@ -26,7 +26,7 @@ from .config import (
     preset_dict,
     PRESETS,
 )
-from .runner import run_and_write, sweep
+from .runner import SWEEP_PARAMETERS, run_and_write, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="vary one parameter and tabulate the results")
     _add_config_arguments(p_sweep)
-    p_sweep.add_argument("--parameter", required=True, choices=("T", "dt", "shots"),
+    p_sweep.add_argument("--parameter", required=True, choices=tuple(SWEEP_PARAMETERS),
                          help="which knob to sweep")
     p_sweep.add_argument("--values", required=True, metavar="V1,V2,...",
                          help="comma-separated values, in the order to run them")

@@ -6,11 +6,13 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .analyze import MEAN_ESTIMATORS
+from .evolve import INTEGRATORS
 from .model import (
     AdiabaticSchedule,
     HermitianOperator,
@@ -94,9 +96,6 @@ class OutputOptions:
     json: bool = True
     svg: bool = True
 
-    def to_dict(self) -> dict:
-        return {"directory": self.directory, "csv": self.csv, "json": self.json, "svg": self.svg}
-
 
 def _require(condition: bool, field_name: str, message: str) -> None:
     if not condition:
@@ -177,16 +176,10 @@ class ExperimentConfig:
             "seed",
             f"must be an integer in [0, 2^64) (got {self.seed!r})",
         )
-        _require(
-            self.integrator in ("trotter2", "exact-midpoint"),
-            "integrator",
-            f"must be 'trotter2' or 'exact-midpoint' (got {self.integrator!r})",
-        )
-        _require(
-            self.mean_estimator in ("minmax", "arith"),
-            "mean_estimator",
-            f"must be 'minmax' or 'arith' (got {self.mean_estimator!r})",
-        )
+        for name, choices in (("integrator", INTEGRATORS), ("mean_estimator", MEAN_ESTIMATORS)):
+            value = getattr(self, name)
+            options = " or ".join(map(repr, choices))
+            _require(value in choices, name, f"must be {options} (got {value!r})")
         _require(
             isinstance(self.observables, (list, tuple)) and len(self.observables) >= 1,
             "observables",
@@ -300,11 +293,17 @@ class ExperimentConfig:
             "shots": int(self.shots),
             "seed": int(self.seed),
             "observables": list(copy.deepcopy(self.observables)),
-            "outputs": self.outputs.to_dict(),
+            "outputs": asdict(self.outputs),
         }
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = {
+    f.name
+    for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+}
+_OUTPUTS_KEYS = {f.name for f in fields(OutputOptions)}
 
 
 def config_from_dict(data: dict, *, source: str = "config") -> ExperimentConfig:
@@ -313,22 +312,17 @@ def config_from_dict(data: dict, *, source: str = "config") -> ExperimentConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
-    missing = {"model", "coupling", "total_time", "step_width", "hold_duration", "shots", "seed"} - set(
-        data
-    )
+    missing = _REQUIRED_KEYS - set(data)
     if missing:
         raise ConfigError(f"{source}: missing required fields {sorted(missing)}")
     kwargs = dict(data)
     out = kwargs.get("outputs", {})
-    if isinstance(out, OutputOptions):
-        pass
-    elif isinstance(out, dict):
-        unknown_out = set(out) - {"directory", "csv", "json", "svg"}
-        if unknown_out:
-            raise ConfigError(f"{source}: unknown outputs fields {sorted(unknown_out)}")
-        kwargs["outputs"] = OutputOptions(**out)
-    else:
+    if not isinstance(out, dict):
         raise ConfigError(f"{source}: outputs must be an object")
+    unknown_out = set(out) - _OUTPUTS_KEYS
+    if unknown_out:
+        raise ConfigError(f"{source}: unknown outputs fields {sorted(unknown_out)}")
+    kwargs["outputs"] = OutputOptions(**out)
     if "observables" in kwargs:
         obs = kwargs["observables"]
         if not isinstance(obs, (list, tuple)):
@@ -340,9 +334,7 @@ def config_from_dict(data: dict, *, source: str = "config") -> ExperimentConfig:
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return config_from_dict(copy.deepcopy(PRESETS[name]), source=f"preset {name!r}")
+    return config_from_dict(preset_dict(name), source=f"preset {name!r}")
 
 
 def preset_dict(name: str) -> dict:

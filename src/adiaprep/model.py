@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_state_vector, eig_hermitian
+from .linalg import as_complex_matrix, as_state_vector
 
 __all__ = [
     "AdiabaticSchedule",
     "HermitianOperator",
     "ModelSpec",
-    "hamiltonian_at",
     "model_one",
     "model_two",
     "observable_from_label",
     "pauli",
-    "spectral_gap_at",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -80,15 +78,12 @@ class AdiabaticSchedule:
 
     total_time: float
     step_width: float
-    profile: str = "linear"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.total_time) and self.total_time > 0.0):
             raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
         if not (np.isfinite(self.step_width) and self.step_width > 0.0):
             raise ValueError(f"step_width must be positive and finite, got {self.step_width!r}")
-        if self.profile != "linear":
-            raise ValueError(f"unsupported ramp profile {self.profile!r}; only 'linear' is implemented")
         ratio = self.total_time / self.step_width
         n = int(round(ratio))
         if n < 1:
@@ -250,18 +245,3 @@ def model_two(coupling: float) -> ModelSpec:
         reference_excited_state=excited,
         kind="model2",
     )
-
-
-def hamiltonian_at(spec: ModelSpec, schedule: AdiabaticSchedule, t: float) -> HermitianOperator:
-    """Sweep Hamiltonian H(s(t)) = (1-s)*H_initial + s*H_target."""
-    if not (-1e-12 <= t <= schedule.total_time + 1e-12):
-        raise ValueError(f"time {t!r} outside the ramp interval [0, {schedule.total_time!r}]")
-    s = schedule.s(t)
-    m = (1.0 - s) * spec.initial.matrix + s * spec.target.matrix
-    return HermitianOperator(m, f"H(s={s:.12g})")
-
-
-def spectral_gap_at(spec: ModelSpec, schedule: AdiabaticSchedule, t: float) -> float:
-    """Gap between the two lowest levels of the sweep Hamiltonian at time t."""
-    es = eig_hermitian(hamiltonian_at(spec, schedule, t).matrix)
-    return float(es.eigenvalues[1] - es.eigenvalues[0])

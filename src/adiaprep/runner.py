@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .analyze import (
     predicted_series,
 )
 from .config import ConfigError, ExperimentConfig
-from .evolve import ResidualDecomposition, decompose, run_adiabatic
+from .evolve import decompose, run_adiabatic
 from .measure import ShotSampler, TimeSeries, expectation, hold_series
 from .model import AdiabaticSchedule, HermitianOperator, ModelSpec
 from .svgplot import line_plot
@@ -45,7 +45,7 @@ class RunResult:
     summary: dict
     series: dict[str, TimeSeries]
     predictions: dict[str, TimeSeries]
-    decomposition: ResidualDecomposition
+    spec: ModelSpec
     elapsed_seconds: float
 
 
@@ -72,36 +72,17 @@ def _diagnose(
     return diagnose_general(stats, c, noise_floor=noise_floor, mean_estimator=mean_estimator)
 
 
-def _stats_dict(stats: OscillationStats) -> dict:
-    return {
-        "mean_minmax": float(stats.mean_minmax),
-        "mean_arith": float(stats.mean_arith),
-        "variance": float(stats.variance),
-        "peak_to_peak": float(stats.peak_to_peak),
-        "amplitude": float(stats.amplitude),
-        "window_periods": int(stats.window_periods),
-        "window_size": int(stats.window_size),
-    }
-
-
-def _diagnosis_dict(diag: VacuumDiagnosis) -> dict:
-    d = {
-        "beta_sq": float(diag.beta_sq),
-        "alpha_beta_sq": float(diag.alpha_beta_sq),
-        "beta_sq_shortcut": float(diag.beta_sq_shortcut),
-        "raw_average": float(diag.raw_average),
-        "corrected_value": float(diag.corrected_value),
-        "reference_value": float(diag.reference_value),
-        "model_kind": diag.model_kind,
-        "noise_floor": float(diag.noise_floor),
-    }
-    if diag.predicted_conserved is not None:
-        d["predicted_conserved"] = float(diag.predicted_conserved)
-    return d
+def _fields(result) -> dict:
+    """A result dataclass as a summary object, without its unset fields."""
+    return {k: v for k, v in asdict(result).items() if v is not None}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Ramp, hold, and diagnose every configured observable."""
+    """Ramp, hold, and diagnose every configured observable.
+
+    Each observable is diagnosed on the exact channel and, with shots, on the
+    sampled one; the headline is the first observable's last channel.
+    """
     cfg.validate()
     started = time.perf_counter()
     spec = cfg.build_model()
@@ -111,11 +92,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     prepared = run_adiabatic(spec, schedule, cfg.integrator)
     decomposition = decompose(prepared, spec)
     omega = spec.oscillation_angular_frequency()
+    channels = ("exact", "sampled") if cfg.shots > 0 else ("exact",)
 
     series_map: dict[str, TimeSeries] = {}
     predictions: dict[str, TimeSeries] = {}
     observables_summary: dict[str, dict] = {}
-    headline: dict | None = None
 
     for observable in spec.observables:
         series = hold_series(
@@ -129,37 +110,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         )
         series_map[observable.label] = series
 
-        stats_exact = oscillation_stats(series, omega, channel="exact")
-        diag_exact = _diagnose(spec, observable, stats_exact, 0.0, cfg.mean_estimator)
-        entry = {
-            "stats_exact": _stats_dict(stats_exact),
-            "diagnosis_exact": _diagnosis_dict(diag_exact),
-        }
-
-        chosen = diag_exact
-        channel = "exact"
-        if cfg.shots > 0:
-            stats_sampled = oscillation_stats(series, omega, channel="sampled")
-            window = stats_sampled.window_size
-            floor = float(np.mean(series.stderr_values[:window] ** 2))
-            diag_sampled = _diagnose(spec, observable, stats_sampled, floor, cfg.mean_estimator)
-            entry["stats_sampled"] = _stats_dict(stats_sampled)
-            entry["diagnosis_sampled"] = _diagnosis_dict(diag_sampled)
-            entry["stderr_point_mean"] = float(np.mean(series.stderr_values[:window]))
-            # standard error of the window-averaged sampled mean
-            entry["stderr_window_mean"] = float(
-                np.sqrt(np.sum(series.stderr_values[:window] ** 2)) / window
-            )
-            chosen = diag_sampled
-            channel = "sampled"
+        entry: dict = {}
+        for channel in channels:
+            stats = oscillation_stats(series, omega, channel=channel)
+            noise_floor = 0.0
+            if channel == "sampled":
+                window = stats.window_size
+                stderr = series.stderr_values[:window]
+                noise_floor = float(np.mean(stderr**2))
+                entry["stderr_point_mean"] = float(np.mean(stderr))
+                # standard error of the window-averaged sampled mean
+                entry["stderr_window_mean"] = float(np.sqrt(np.sum(stderr**2)) / window)
+            diag = _diagnose(spec, observable, stats, noise_floor, cfg.mean_estimator)
+            entry[f"stats_{channel}"] = _fields(stats)
+            entry[f"diagnosis_{channel}"] = _fields(diag)
         observables_summary[observable.label] = entry
-
-        if headline is None:
-            headline = {
-                "observable": observable.label,
-                "channel": channel,
-                "diagnosis": chosen,
-            }
 
         if spec.kind in ("model1", "model2"):
             try:
@@ -169,24 +134,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             except ValueError:
                 pass
 
-    assert headline is not None
-    chosen = headline["diagnosis"]
+    headline_label = spec.observables[0].label
+    headline = observables_summary[headline_label][f"diagnosis_{channels[-1]}"]
     summary = {
         "config": cfg.to_dict(),
-        "headline_observable": headline["observable"],
-        "headline_channel": headline["channel"],
-        "beta_sq": float(chosen.beta_sq),
-        "raw_average": float(chosen.raw_average),
-        "corrected_value": float(chosen.corrected_value),
-        "reference_value": float(chosen.reference_value),
-        "state_decomposition": {
-            "alpha_mod": float(decomposition.alpha_mod),
-            "beta_mod": float(decomposition.beta_mod),
-            "beta_sq": float(decomposition.beta_sq),
-            "theta": float(decomposition.theta),
-            "theta_defined": bool(decomposition.theta_defined),
-        },
-        "oscillation_angular_frequency": float(omega),
+        "headline_observable": headline_label,
+        "headline_channel": channels[-1],
+        **{k: headline[k] for k in ("beta_sq", "raw_average", "corrected_value", "reference_value")},
+        "state_decomposition": asdict(decomposition),
+        "oscillation_angular_frequency": omega,
         "observables": observables_summary,
     }
     elapsed = time.perf_counter() - started
@@ -195,7 +151,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         summary=summary,
         series=series_map,
         predictions=predictions,
-        decomposition=decomposition,
+        spec=spec,
         elapsed_seconds=elapsed,
     )
 
@@ -221,20 +177,6 @@ def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None
         f.writelines(row % values for values in zip(*columns))
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def write_artifacts(result: RunResult) -> list[Path]:
     """Write the configured CSV/JSON/SVG artifacts; returns the paths."""
     cfg = result.config
@@ -251,7 +193,7 @@ def write_artifacts(result: RunResult) -> list[Path]:
     if cfg.outputs.json:
         path = out / "summary.json"
         path.write_text(
-            json.dumps(_jsonable(result.summary), sort_keys=True, indent=2) + "\n",
+            json.dumps(result.summary, sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
         written.append(path)
@@ -290,15 +232,10 @@ _REFERENCE_REFINEMENT = 64
 def _trotter_deviation(spec: ModelSpec, schedule: AdiabaticSchedule, cache: dict) -> float:
     """Norm distance between the split-step ramp and a fine reference ramp.
 
-    cache belongs to one sweep, so a sweep over shots builds each reference
-    once and nothing outlives the call.
+    cache belongs to one sweep, whose values never change the model, so a
+    sweep over shots builds each reference once and nothing outlives the call.
     """
-    key = (
-        spec.initial.matrix.tobytes(),
-        spec.target.matrix.tobytes(),
-        schedule.total_time,
-        schedule.step_width,
-    )
+    key = (schedule.total_time, schedule.step_width)
     if key not in cache:
         coarse = run_adiabatic(spec, schedule, "trotter2")
         fine = AdiabaticSchedule(
@@ -331,19 +268,19 @@ def sweep(
     deviations: dict = {}
     for value in values:
         if parameter == "shots":
-            if float(value) != int(float(value)) or float(value) < 0:
+            number = float(value)
+            if not (number >= 0 and number.is_integer()):
                 raise ConfigError(f"sweep value for shots must be a nonnegative integer, got {value!r}")
-            value = int(float(value))
+            value = int(number)
         else:
             value = float(value)
         sub = replace(cfg, **{field_name: value})
-        sub.validate()
         result = run_experiment(sub)
         label = result.summary["headline_observable"]
         entry = result.summary["observables"][label]
         deviation = None
         if sub.integrator == "trotter2":
-            deviation = _trotter_deviation(sub.build_model(), sub.build_schedule(), deviations)
+            deviation = _trotter_deviation(result.spec, sub.build_schedule(), deviations)
         rows.append(
             {
                 "parameter": parameter,

@@ -9,6 +9,7 @@ from adiaprep import runner
 from adiaprep.cli import main
 from adiaprep.config import (
     ConfigError,
+    ExperimentConfig,
     PRESETS,
     apply_set_overrides,
     config_from_dict,
@@ -364,6 +365,25 @@ def test_sweep_reference_cache_lives_for_one_call(tmp_path, monkeypatch):
     assert len({row["trotter_deviation"] for row in rows}) == 1
 
 
+def test_sweep_builds_each_model_once(tmp_path, monkeypatch):
+    cfg = config_from_dict(
+        apply_set_overrides(
+            dict(PRESETS["fig1a"]), ["shots=0", f"outputs.directory={tmp_path}"]
+        )
+    )
+    built = []
+    original = ExperimentConfig.build_model
+
+    def counting(self):
+        built.append(self.total_time)
+        return original(self)
+
+    monkeypatch.setattr(ExperimentConfig, "build_model", counting)
+    rows, _ = sweep(cfg, "T", [4.5, 9.0])
+    assert built == [4.5, 9.0]
+    assert all(row["trotter_deviation"] > 0.0 for row in rows)
+
+
 def test_sweep_rejects_unknown_parameter(tmp_path):
     cfg = config_from_dict(
         apply_set_overrides(dict(PRESETS["fig2"]), [f"outputs.directory={tmp_path}"])
@@ -403,6 +423,12 @@ def test_cli_sweep_rejects_bad_values(capsys):
     )
     assert code == 2
     assert "--values" in capsys.readouterr().err
+    for value in ("inf", "nan", "-1", "2.5"):
+        code = run_cli(
+            ["sweep", "--preset", "fig2", "--parameter", "shots", "--values", value]
+        )
+        assert code == 2, value
+        assert "sweep value for shots must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
@@ -436,3 +462,103 @@ def test_runner_headline_matches_observable_entry():
     assert result.summary["beta_sq"] == entry["beta_sq"]
     assert result.summary["corrected_value"] == entry["corrected_value"]
     assert result.summary["reference_value"] == pytest.approx(1.0 / np.sqrt(2.0))
+
+
+def _key_paths(node, prefix=""):
+    if not isinstance(node, dict):
+        return set()
+    paths = set()
+    for key, value in node.items():
+        paths.add(prefix + key)
+        paths |= _key_paths(value, prefix + key + ".")
+    return paths
+
+
+SUMMARY_TOP_KEYS = {
+    "beta_sq",
+    "config",
+    "corrected_value",
+    "headline_channel",
+    "headline_observable",
+    "oscillation_angular_frequency",
+    "observables",
+    "raw_average",
+    "reference_value",
+    "state_decomposition",
+}
+CONFIG_KEYS = {
+    "coupling",
+    "hold_duration",
+    "integrator",
+    "mean_estimator",
+    "model",
+    "observables",
+    "outputs",
+    "sample_dt",
+    "seed",
+    "shots",
+    "step_width",
+    "total_time",
+}
+OUTPUTS_KEYS = {"csv", "directory", "json", "svg"}
+DECOMPOSITION_KEYS = {"alpha_mod", "beta_mod", "beta_sq", "theta", "theta_defined"}
+STATS_KEYS = {
+    "amplitude",
+    "mean_arith",
+    "mean_minmax",
+    "peak_to_peak",
+    "variance",
+    "window_periods",
+    "window_size",
+}
+DIAGNOSIS_KEYS = {
+    "alpha_beta_sq",
+    "beta_sq",
+    "beta_sq_shortcut",
+    "corrected_value",
+    "model_kind",
+    "noise_floor",
+    "raw_average",
+    "reference_value",
+}
+
+
+def _expected_summary_paths(observable, channels, diagnosis_keys, extra=()):
+    paths = set(SUMMARY_TOP_KEYS)
+    paths |= {f"config.{k}" for k in CONFIG_KEYS}
+    paths |= {f"config.outputs.{k}" for k in OUTPUTS_KEYS}
+    paths |= {f"state_decomposition.{k}" for k in DECOMPOSITION_KEYS}
+    base = f"observables.{observable}"
+    paths.add(base)
+    paths |= {f"{base}.{k}" for k in extra}
+    for channel in channels:
+        paths |= {f"{base}.stats_{channel}"} | {f"{base}.stats_{channel}.{k}" for k in STATS_KEYS}
+        paths |= {f"{base}.diagnosis_{channel}"}
+        paths |= {f"{base}.diagnosis_{channel}.{k}" for k in diagnosis_keys}
+    return paths
+
+
+@pytest.mark.parametrize(
+    "preset, shots, expected",
+    [
+        (
+            "fig1a",
+            10_000,
+            _expected_summary_paths(
+                "Z",
+                ("exact", "sampled"),
+                DIAGNOSIS_KEYS | {"predicted_conserved"},
+                extra=("stderr_point_mean", "stderr_window_mean"),
+            ),
+        ),
+        ("fig2", 0, _expected_summary_paths("Z", ("exact",), DIAGNOSIS_KEYS)),
+    ],
+)
+def test_summary_json_key_set_is_pinned(tmp_path, preset, shots, expected):
+    out = tmp_path / preset
+    code = run_cli(
+        ["run", "--preset", preset, "--out", str(out), "--set", f"shots={shots}",
+         "--set", "outputs.csv=false", "--set", "outputs.svg=false"]
+    )
+    assert code == 0
+    assert _key_paths(json.loads((out / "summary.json").read_text())) == expected

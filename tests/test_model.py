@@ -7,12 +7,10 @@ from adiaprep.model import (
     AdiabaticSchedule,
     HermitianOperator,
     ModelSpec,
-    hamiltonian_at,
     model_one,
     model_two,
     observable_from_label,
     pauli,
-    spectral_gap_at,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -145,8 +143,6 @@ def test_schedule_validation():
         AdiabaticSchedule(-1.0, 0.1)
     with pytest.raises(ValueError, match="step_width"):
         AdiabaticSchedule(1.0, 0.0)
-    with pytest.raises(ValueError, match="profile"):
-        AdiabaticSchedule(1.0, 0.1, profile="cosine")
     with pytest.raises(ValueError, match="exceeds"):
         AdiabaticSchedule(1.0, 10.0)
 
@@ -174,50 +170,3 @@ def test_schedule_ramp_parameter_clips():
     assert sched.s(10.0) == 1.0
     assert sched.s(-1.0) == 0.0
     assert sched.s(11.0) == 1.0
-
-
-def test_hamiltonian_at_endpoints_and_midpoint():
-    spec = model_one(2.0)
-    sched = AdiabaticSchedule(36.0, 0.125)
-    assert np.array_equal(hamiltonian_at(spec, sched, 0.0).matrix, spec.initial.matrix)
-    assert np.array_equal(hamiltonian_at(spec, sched, 36.0).matrix, spec.target.matrix)
-    mid = hamiltonian_at(spec, sched, 18.0).matrix
-    assert np.allclose(mid, -1.0 * (pauli("Z").matrix + pauli("X").matrix), atol=1e-15)
-
-
-def test_hamiltonian_at_is_affine_in_s():
-    spec = model_two(1.0)
-    sched = AdiabaticSchedule(10.0, 0.1)
-    h0 = hamiltonian_at(spec, sched, 0.0).matrix
-    slope = spec.target.matrix - spec.initial.matrix
-    for t in (1.0, 3.7, 9.2):
-        expected = h0 + sched.s(t) * slope
-        assert np.max(np.abs(hamiltonian_at(spec, sched, t).matrix - expected)) < 1e-14
-
-
-def test_hamiltonian_at_rejects_time_outside_ramp():
-    spec = model_one(1.0)
-    sched = AdiabaticSchedule(10.0, 0.1)
-    with pytest.raises(ValueError, match="outside"):
-        hamiltonian_at(spec, sched, 10.5)
-    with pytest.raises(ValueError, match="outside"):
-        hamiltonian_at(spec, sched, -0.5)
-
-
-def test_spectral_gap_endpoints_and_closed_form():
-    # gap of (1-s)(-JZ) + s(-JX) is 2J*sqrt((1-s)^2 + s^2)
-    j = 1.3
-    spec = model_one(j)
-    sched = AdiabaticSchedule(10.0, 0.1)
-    assert spectral_gap_at(spec, sched, 0.0) == pytest.approx(2.0 * j, abs=1e-12)
-    assert spectral_gap_at(spec, sched, 10.0) == pytest.approx(2.0 * j, abs=1e-12)
-    assert spectral_gap_at(spec, sched, 5.0) == pytest.approx(SQRT2 * j, abs=1e-12)
-
-
-@pytest.mark.parametrize("factory", [model_one, model_two])
-def test_spectral_gap_stays_open_along_the_ramp(factory):
-    j = 1.0
-    spec = factory(j)
-    sched = AdiabaticSchedule(1.0, 0.01)
-    gaps = [spectral_gap_at(spec, sched, t) for t in np.arange(0.0, 1.0001, 0.01)]
-    assert min(gaps) > 0.9 * SQRT2 * j

@@ -13,6 +13,7 @@ REMOVED = {
     "linalg": ("apply", "hermiticity_defect"),
     "evolve": ("evolve_exact",),
     "measure": ("shot_std",),
+    "model": ("hamiltonian_at", "spectral_gap_at"),
 }
 
 
@@ -43,6 +44,7 @@ def test_removed_options_are_gone():
         (adiaprep.run_adiabatic, "outer"),
         (adiaprep.hold_series, "hold_integrator"),
         (adiaprep.hold_series, "substep_width"),
+        (adiaprep.AdiabaticSchedule, "profile"),
     ):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):
