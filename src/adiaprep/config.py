@@ -97,6 +97,13 @@ class OutputOptions:
     svg: bool = True
 
 
+def _artifact_name(label: str) -> str:
+    """File stem of an observable's CSV and SVG: series_ plus the label with
+    every character outside letters, digits and +-_ replaced by _."""
+    safe = "".join(ch if (ch.isalnum() or ch in "+-_") else "_" for ch in label)
+    return f"series_{safe}"
+
+
 def _require(condition: bool, field_name: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"config field {field_name!r}: {message}")
@@ -223,6 +230,15 @@ class ExperimentConfig:
         labels = [o.label for o in resolved]
         duplicates = sorted({label for label in labels if labels.count(label) > 1})
         _require(not duplicates, "observables", f"duplicate labels {duplicates}")
+        owners: dict[str, str] = {}
+        for label in labels:
+            name = _artifact_name(label)
+            first = owners.setdefault(name, label)
+            _require(
+                first == label,
+                "observables",
+                f"labels {first!r} and {label!r} share the artifact name {name}",
+            )
         return replace(base, observables=resolved)
 
     def _build_inline_model(self) -> ModelSpec:

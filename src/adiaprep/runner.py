@@ -22,7 +22,7 @@ from .analyze import (
     oscillation_stats,
     predicted_series,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _artifact_name
 from .evolve import decompose, run_adiabatic
 from .measure import ShotSampler, TimeSeries, expectation, hold_series
 from .model import AdiabaticSchedule, HermitianOperator, ModelSpec
@@ -156,11 +156,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def _series_filename(label: str) -> str:
-    safe = "".join(ch if (ch.isalnum() or ch in "+-_") else "_" for ch in label)
-    return f"series_{safe}.csv"
-
-
 def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None:
     header = [
         f"# observable {series.observable_label}",
@@ -186,7 +181,7 @@ def write_artifacts(result: RunResult) -> list[Path]:
 
     if cfg.outputs.csv:
         for label, series in result.series.items():
-            path = out / _series_filename(label)
+            path = out / f"{_artifact_name(label)}.csv"
             _write_series_csv(path, series, cfg.total_time)
             written.append(path)
 
@@ -200,7 +195,7 @@ def write_artifacts(result: RunResult) -> list[Path]:
 
     if cfg.outputs.svg:
         for label, series in result.series.items():
-            path = out / (_series_filename(label)[: -len(".csv")] + ".svg")
+            path = out / f"{_artifact_name(label)}.svg"
             curves = []
             if series.sampled_values is not None:
                 curves.append(("sampled", series.sampled_values, "#9ecae1"))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -44,6 +43,12 @@ def _ticks(lo: float, hi: float) -> list[float]:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
+
+
+def _escape(text: str) -> str:
+    # the replacements of xml.sax.saxutils.escape, in its order; importing
+    # that module pulls urllib, http, email and ssl into every process
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -76,13 +81,19 @@ def line_plot(
 ) -> Path:
     """Write a line plot; curves is a list of (label, y-values, css color).
 
-    x must be finite and strictly increasing, and every curve finite.
+    x must be finite and strictly increasing, and every curve finite. The x
+    span and the padded y span must stay below the largest float.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need at least two x values in a 1-D sequence")
     if not np.isfinite(x).all():
         raise ValueError("x values must be finite")
+    # spans as Python floats: past the largest double they read inf with no
+    # numpy overflow warning, and a finite x span bounds every np.diff step
+    x_lo, x_hi = float(x.min()), float(x.max())
+    if not math.isfinite(x_hi - x_lo):
+        raise ValueError("x values must span less than the largest float")
     if not (np.diff(x) > 0).all():
         raise ValueError("x values must be strictly increasing")
     ys = [np.asarray(y, dtype=np.float64) for _, y, _ in curves]
@@ -96,7 +107,6 @@ def line_plot(
         if not np.isfinite(y).all():
             raise ValueError(f"curve {label!r}: values must be finite")
 
-    x_lo, x_hi = float(x.min()), float(x.max())
     y_lo = min(float(y.min()) for y in ys)
     y_hi = max(float(y.max()) for y in ys)
     if y_hi - y_lo < 1e-12:
@@ -105,6 +115,8 @@ def line_plot(
     else:
         pad = (y_hi - y_lo) * 0.08
         y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError("y values must span less than the largest float, with padding")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -123,7 +135,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="19" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
     axis_style = 'stroke="#333333" stroke-width="1"'
@@ -173,18 +185,18 @@ def line_plot(
         parts.append(f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 22}" y2="{legend_y - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{legend_y}" font-family="sans-serif" '
-                     f'font-size="11">{escape(label)}</text>')
+                     f'font-size="11">{_escape(label)}</text>')
         legend_y += 16
 
     if xlabel:
         parts.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 8}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-                     f'{escape(xlabel)}</text>')
+                     f'{_escape(xlabel)}</text>')
     if ylabel:
         cy = MARGIN_T + plot_h / 2
         parts.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 14 {cy:.1f})">{escape(ylabel)}</text>')
+                     f'transform="rotate(-90 14 {cy:.1f})">{_escape(ylabel)}</text>')
 
     parts.append("</svg>")
     out = Path(path)

@@ -289,6 +289,22 @@ def test_duplicate_observable_labels_are_rejected(capsys):
     assert "duplicate labels" in capsys.readouterr().err
 
 
+def test_labels_sharing_an_artifact_name_are_rejected(tmp_path, capsys):
+    z = [[1, 0], [0, -1]]
+    observables = [{"label": "Z 1", "matrix": z}, {"label": "Z_1", "matrix": z}]
+    data = {**PRESETS["fig1a"], "shots": 0, "observables": observables,
+            "outputs": {"directory": str(tmp_path / "out")}}
+    message = "config field 'observables': labels 'Z 1' and 'Z_1' share the artifact name series_Z_1"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(data).build_model()
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "wrote" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_over_step_width(tmp_path):
     cfg = preset_config("fig2")
     cfg = config_from_dict(

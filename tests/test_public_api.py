@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +9,9 @@ import adiaprep
 from adiaprep.config import PRESETS, ConfigError, config_from_dict
 
 MODULES = ("analyze", "config", "evolve", "linalg", "measure", "model", "runner", "svgplot")
+
+# standard-library packages that importing the package must not load
+UNUSED_STDLIB = ("urllib.request", "http", "email", "ssl", "socket", "xml")
 
 # removed helpers and options; none may come back as an export or attribute
 REMOVED = {
@@ -49,3 +54,17 @@ def test_removed_options_are_gone():
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):
         config_from_dict({**PRESETS["fig2"], "hold_integrator": "exact"})
+
+
+def test_import_loads_no_network_email_tls_or_xml_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, adiaprep, adiaprep.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        m for m in proc.stdout.split()
+        if any(m == name or m.startswith(name + ".") for name in UNUSED_STDLIB)
+    ]
+    assert loaded == []

@@ -27,6 +27,25 @@ def test_line_plot_is_well_formed_xml_with_markup_characters(tmp_path):
     assert "<Z> & 'exact'" in texts
 
 
+def test_line_plot_escapes_text_like_saxutils(tmp_path):
+    from xml.sax.saxutils import escape
+
+    def text(tag):
+        return f"{tag} & < > \" ' &amp; end"
+
+    path = line_plot(
+        tmp_path / "plot.svg",
+        [0.0, 1.0],
+        [(text("curve a"), [0.0, 1.0], "#000"), (text("curve b"), [1.0, 0.0], "#111")],
+        title=text("title"),
+        xlabel=text("x"),
+        ylabel=text("y"),
+    )
+    svg = path.read_text()
+    for tag in ("title", "curve a", "curve b", "x", "y"):
+        assert f">{escape(text(tag))}</text>" in svg
+
+
 def test_line_plot_is_deterministic(tmp_path):
     x = np.linspace(0.0, 2.0, 50)
     curves = [("a", np.sin(x), "#111111"), ("b", np.cos(x), "#222222")]
@@ -58,6 +77,12 @@ def test_line_plot_rejects_bad_input(tmp_path):
             line_plot(tmp_path / "x.svg", [0.0, 1.0], [("exact", [1.0, bad], "#000")])
     with pytest.raises(ValueError, match="curve 'sampled': length 3"):
         line_plot(tmp_path / "x.svg", [0.0, 1.0], [("sampled", [1.0, 2.0, 3.0], "#000")])
+    # finite values whose span, or padded span, passes the largest double
+    with pytest.raises(ValueError, match="x values must span less than the largest float"):
+        line_plot(tmp_path / "x.svg", [-1e308, 1e308], [("", [1.0, 2.0], "#000")])
+    for y in ([-1e308, 1e308], [0.0, 1.7e308]):
+        with pytest.raises(ValueError, match="y values must span less than the largest float"):
+            line_plot(tmp_path / "x.svg", [0.0, 1.0], [("", y, "#000")])
 
 
 def _polylines(path):
