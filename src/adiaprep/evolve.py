@@ -119,7 +119,8 @@ def run_adiabatic(
         else:
             v = exact_midpoint_step(v, spec, schedule, k * dt)
     drift = abs(float(np.linalg.norm(v)) - 1.0)
-    if drift > 1e-9:
+    # written so that a NaN drift fails too
+    if not drift <= 1e-9:
         raise ArithmeticError(f"state norm drifted by {drift:.3e} during the ramp")
     return v
 

@@ -15,6 +15,7 @@ a curve with at most one point per column is drawn in full.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,8 @@ def line_plot(
     """Write a line plot; curves is a list of (label, y-values, css color).
 
     x must be finite and strictly increasing, and every curve finite. The x
-    span and the padded y span must stay below the largest float.
+    span must reach the smallest normal float, and it and the padded y span
+    must stay below the largest float.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
@@ -96,6 +98,10 @@ def line_plot(
         raise ValueError("x values must span less than the largest float")
     if not (np.diff(x) > 0).all():
         raise ValueError("x values must be strictly increasing")
+    # a subnormal span's tick step loses precision, and for the smallest
+    # spans underflows to 0
+    if x_hi - x_lo < sys.float_info.min:
+        raise ValueError("x values must span at least the smallest normal float")
     ys = [np.asarray(y, dtype=np.float64) for _, y, _ in curves]
     if not ys:
         raise ValueError("need at least one curve")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,30 @@ def test_cli_run_inline_model(tmp_path):
     # ramping -Z into -X: same physics as the built-in flip model
     assert summary["observables"]["Z"]["diagnosis_exact"]["model_kind"] == "anticommuting"
     assert 0.0 < summary["beta_sq"] < 0.1
+
+
+def test_cli_rejects_an_inline_model_whose_hermitian_part_overflows(tmp_path, capsys):
+    # every entry is finite, but (a + a^H)/2 is not: this used to ramp into
+    # NaN amplitudes and exit 3 after numpy overflow warnings
+    cfg = {
+        "model": {"initial": [[1.5e308, 0], [0, -1.5e308]], "target": [[0, -1], [-1, 0]]},
+        "coupling": 1.0,
+        "total_time": 18.0,
+        "step_width": 0.125,
+        "hold_duration": 6.5,
+        "shots": 0,
+        "seed": 1,
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'model': operator 'initial': Hermitian part" in err
+    assert "overflows at entry (0, 0)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_observable_dimension_mismatch(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adiaprep import evolve
 from adiaprep.evolve import (
     INTEGRATORS,
     ResidualDecomposition,
@@ -131,6 +132,15 @@ def test_run_adiabatic_preserves_norm():
     spec, sched = fig2_setup()
     v = run_adiabatic(spec, sched, "trotter2")
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_run_adiabatic_rejects_a_nan_state(monkeypatch):
+    # a NaN norm drift compares false with any bound, so the check must
+    # be phrased to fail on it
+    spec, sched = fig1a_setup()
+    monkeypatch.setattr(evolve, "trotter2_step", lambda v, *_: v * np.nan)
+    with pytest.raises(ArithmeticError, match="state norm drifted by nan during the ramp"):
+        run_adiabatic(spec, sched, "trotter2")
 
 
 def test_run_adiabatic_single_step_schedule():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adiaprep import linalg
+from adiaprep.evolve import run_adiabatic
 from adiaprep.linalg import (
     EigenSystem,
     as_complex_matrix,
@@ -10,6 +11,7 @@ from adiaprep.linalg import (
     eig_hermitian,
     expm_minus_i,
 )
+from adiaprep.model import AdiabaticSchedule, model_one, model_two
 
 SQRT2 = np.sqrt(2.0)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -106,11 +108,33 @@ def test_eig_rejects_non_finite_entry_naming_it():
         eig_hermitian([[1.0, 0.0], [np.nan, 1.0]])
 
 
-def test_eig_non_convergence_names_the_dimension(monkeypatch):
+@pytest.mark.parametrize("n", [2, 4])
+def test_eig_non_convergence_names_the_dimension(monkeypatch, n):
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-    m = random_hermitian(np.random.default_rng(1), 4)
-    with pytest.raises(ArithmeticError, match=r"did not converge in 1 sweeps \(dimension 4, residual"):
+    m = random_hermitian(np.random.default_rng(1), n)
+    assert m[0, 1] != 0.0
+    with pytest.raises(
+        ArithmeticError, match=rf"did not converge in 1 sweeps \(dimension {n}, residual"
+    ):
         eig_hermitian(m)
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.diag([1e308, -1e308]), r"overflows at entry \(0, 0\)"),
+        (np.full((3, 3), 1e308), r"overflows at entry \(0, 0\)"),
+        (np.diag([1.0, 1.5e308]), r"overflows at entry \(1, 1\)"),
+        # every entry finite, the Frobenius norm not
+        (np.full((3, 3), 8e307), "Frobenius norm past the largest float"),
+    ],
+)
+def test_hermitian_part_must_be_finite(m, message):
+    # (a_ij + conj(a_ji))/2 overflows for finite entries past half the
+    # largest float; before this check the diagonal came back as +-inf
+    for check in (eig_hermitian, as_complex_matrix):
+        with pytest.raises(ValueError, match=message):
+            check(m)
 
 
 def test_eig_degenerate_pair_ordered_by_pivot_index():
@@ -258,3 +282,96 @@ def test_eigensystem_dim():
     es = eig_hermitian(Z)
     assert isinstance(es, EigenSystem)
     assert es.dim == 2
+
+
+def _kernel_outcome(kernel, h, scale):
+    try:
+        es = kernel([row[:] for row in h], scale)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return es.eigenvalues.tobytes(), es.eigenvectors.tobytes()
+
+
+def _two_by_two_cases(rng, per_class):
+    """Seeded 2x2 matrices, per_class of each kind where the unrolled and
+    the general kernel could part: scales from 1e-8 to 1e8 and 1e+-300,
+    diagonal, multiples of I, equal diagonals with real off-diagonals, and
+    pairs inside the degeneracy gap with zero or 1e-20 off-diagonals."""
+    k = per_class
+
+    def hermitian(size, scale):
+        a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+        return scale[:, None, None] * (a + a.conj().transpose(0, 2, 1)) / 2.0
+
+    def diag(d0, d1, off):
+        m = np.zeros((len(d0), 2, 2), dtype=complex)
+        m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0] = d0, d1, off, np.conj(off)
+        return m
+
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, size=k)
+    d = rng.normal(size=k) * scale
+    # relative splittings well inside the 1e-12 gap, of either sign
+    split = d * rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-16.0, -12.5, size=k)
+    tiny = rng.choice([0.0, 1e-20, -1e-20j, 1e-20 * (1.0 + 1.0j)], size=k)
+    batches = [
+        hermitian(k, scale),
+        hermitian(k, 10.0 ** rng.choice([-300.0, 300.0], size=k)),
+        diag(rng.normal(size=k) * scale, rng.normal(size=k) * scale, 0.0),
+        diag(d, d, 0.0),
+        diag(d, d, rng.normal(size=k) * scale),
+        diag(d, d + split, tiny),
+        diag(rng.normal(size=k), rng.normal(size=k), tiny),
+        hermitian(k, scale).real.astype(complex),
+    ]
+    return [m for batch in batches for m in batch]
+
+
+def _ramp_cases(spec, points):
+    """H(s), (1-s)*H0 and s*H_T on an s grid: the matrices a ramp solves."""
+    h0, ht = spec.initial.matrix, spec.target.matrix
+    for s in np.linspace(0.0, 1.0, points):
+        yield (1.0 - s) * h0 + s * ht
+        yield (1.0 - s) * h0
+        yield s * ht
+
+
+@pytest.mark.parametrize("max_sweeps, per_class", [(None, 2500), (0, 100), (1, 500), (2, 500)])
+def test_jacobi2_is_bit_identical_to_the_general_kernel(monkeypatch, max_sweeps, per_class):
+    # fewer sweeps than convergence needs makes both kernels raise, and the
+    # messages must match as well
+    if max_sweeps is not None:
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", max_sweeps)
+    cases = _two_by_two_cases(np.random.default_rng(2024), per_class)
+    for spec in (model_one(1.0), model_two(np.pi / 4.0)):
+        cases.extend(_ramp_cases(spec, per_class // 2 + 1))
+    differ = []
+    for m in cases:
+        h, scale = linalg._hermitian_part(linalg._square_rows(m), linalg.HERMITICITY_TOL)
+        fast = _kernel_outcome(linalg._jacobi2, h, scale)
+        if fast != _kernel_outcome(linalg._jacobi, h, scale):
+            differ.append(m.tolist())
+    assert not differ, f"{len(differ)} of {len(cases)} matrices differ, first {differ[0]}"
+
+
+@pytest.mark.parametrize(
+    "integrator, schedule",
+    [
+        # fig2's split-step ramp, and the exact-midpoint reference that a
+        # sweep over T runs for T = 4.5 at step_width/64
+        ("trotter2", AdiabaticSchedule(36.0, 1.0 / 24.0)),
+        ("exact-midpoint", AdiabaticSchedule(4.5, 1.0 / 24.0 / 64)),
+    ],
+)
+def test_ramp_is_bit_identical_through_the_general_kernel(monkeypatch, integrator, schedule):
+    spec = model_two(np.pi / 4.0)
+    fast = run_adiabatic(spec, schedule, integrator)
+    general = []
+
+    def route_to_general(a, scale):
+        general.append(len(a))
+        return linalg._jacobi(a, scale)
+
+    monkeypatch.setattr(linalg, "_jacobi2", route_to_general)
+    slow = run_adiabatic(spec, schedule, integrator)
+    assert general and set(general) == {2}
+    assert slow.tobytes() == fast.tobytes()

@@ -1,4 +1,5 @@
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -83,6 +84,14 @@ def test_line_plot_rejects_bad_input(tmp_path):
     for y in ([-1e308, 1e308], [0.0, 1.7e308]):
         with pytest.raises(ValueError, match="y values must span less than the largest float"):
             line_plot(tmp_path / "x.svg", [0.0, 1.0], [("", y, "#000")])
+    # a subnormal x span, whose tick step would underflow to 0
+    for x in ([0.0, 2e-323], [1e-310, 1.5e-310]):
+        with pytest.raises(ValueError, match="x values must span at least the smallest normal float"):
+            line_plot(tmp_path / "x.svg", x, [("a", [0.0, 1.0], "#000")])
+    assert not (tmp_path / "x.svg").exists()
+    # the smallest normal span still draws
+    line_plot(tmp_path / "tiny.svg", [0.0, sys.float_info.min], [("a", [0.0, 1.0], "#000")])
+    assert (tmp_path / "tiny.svg").stat().st_size > 0
 
 
 def _polylines(path):
