@@ -15,7 +15,7 @@ import numpy as np
 
 from .evolve import ResidualDecomposition
 from .measure import TimeSeries
-from .model import ModelSpec
+from .model import HermitianOperator, ModelSpec
 
 __all__ = [
     "OscillationStats",
@@ -233,37 +233,24 @@ def predicted_series(
     decomposition: ResidualDecomposition,
     spec: ModelSpec,
     times: np.ndarray,
-    observable_label: str = "Z",
+    observable: HermitianOperator,
 ) -> TimeSeries:
-    """Closed-form hold record implied by a residual decomposition.
+    """Hold record implied by a residual decomposition, for any observable.
 
-    Only the built-in models have pinned closed forms: for the bit-flip
-    target <Z> = 2|ab|cos(2Jt + theta) and <-X> = -1 + 2b^2; for the
-    Hadamard target <Z> = (1-2b^2)/sqrt(2) + sqrt(2)|ab|cos(2Jt + theta).
+    The state a|g> + b*e^{-i*theta}|e> held under the target gives
+    a^2*O_gg + b^2*O_ee + 2ab*Re(e^{-i(w*t + theta)}*O_ge), O_xy = <x|O|y>.
     """
-    if spec.kind not in ("model1", "model2"):
-        raise ValueError("closed-form predictions exist only for the built-in models")
+    if observable.dim != spec.dim:
+        raise ValueError(
+            f"observable {observable.label!r} dimension {observable.dim} != model dimension {spec.dim}"
+        )
+    g, e, o = spec.reference_ground_state, spec.reference_excited_state, observable.matrix
+    a, b = decomposition.alpha_mod, decomposition.beta_mod
     t = np.asarray(times, dtype=np.float64)
-    ab = decomposition.alpha_mod * decomposition.beta_mod
-    omega = spec.oscillation_angular_frequency()
-    phase = omega * t + decomposition.theta
-    if spec.kind == "model1":
-        if observable_label == "Z":
-            y = 2.0 * ab * np.cos(phase)
-        elif observable_label == "-X":
-            y = np.full(t.shape, -1.0 + 2.0 * decomposition.beta_sq)
-        else:
-            raise ValueError(f"no closed form for observable {observable_label!r} in model1")
-    else:
-        if observable_label != "Z":
-            raise ValueError(f"no closed form for observable {observable_label!r} in model2")
-        sqrt2 = np.sqrt(2.0)
-        y = (1.0 - 2.0 * decomposition.beta_sq) / sqrt2 + sqrt2 * ab * np.cos(phase)
-    return TimeSeries(
-        times=t,
-        exact_values=y,
-        sampled_values=None,
-        stderr_values=None,
-        shots_per_point=0,
-        observable_label=f"{observable_label} (predicted)",
+    phase = spec.oscillation_angular_frequency() * t + decomposition.theta
+    y = (
+        a * a * np.vdot(g, o @ g).real
+        + b * b * np.vdot(e, o @ e).real
+        + 2.0 * a * b * (np.exp(-1j * phase) * np.vdot(g, o @ e)).real
     )
+    return TimeSeries(t, y, None, None, 0, f"{observable.label} (predicted)")

@@ -56,6 +56,11 @@ def _operator_matrix(o) -> np.ndarray:
     return o.matrix if isinstance(o, HermitianOperator) else np.asarray(o, dtype=np.complex128)
 
 
+def _residue_tolerance(m: np.ndarray) -> float:
+    """Largest imaginary part <v|O|v> may keep: rounding scales with |O|."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(m))))
+
+
 def expectation(v: np.ndarray, observable) -> float:
     """Exact <v|O|v>, guarding against a non-real result."""
     v = as_state_vector(v)
@@ -63,7 +68,7 @@ def expectation(v: np.ndarray, observable) -> float:
     if m.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: operator {m.shape} vs state {v.shape}")
     value = complex(np.vdot(v, m @ v))
-    if abs(value.imag) > 1e-12:
+    if abs(value.imag) > _residue_tolerance(m):
         raise ArithmeticError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
@@ -189,7 +194,7 @@ def hold_series(
     states = _matvec_rows(es.eigenvectors, phased)
     values = _dot_rows(states.conj(), _matvec_rows(observable.matrix, states))
     residue = float(np.max(np.abs(values.imag)))
-    if residue > 1e-12:
+    if residue > _residue_tolerance(observable.matrix):
         raise ArithmeticError(f"expectation has imaginary residue {residue:.3e}")
     exact = values.real
 

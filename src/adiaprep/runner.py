@@ -2,7 +2,7 @@
 
 Artifacts are deterministic functions of the configuration: CSV series with
 %.17g floats, a summary.json with sorted keys, and SVG plots with the
-closed-form predicted curve overlaid where one exists.
+two-level predicted curve overlaid on every observable's record.
 """
 
 from __future__ import annotations
@@ -126,13 +126,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             entry[f"diagnosis_{channel}"] = _fields(diag)
         observables_summary[observable.label] = entry
 
-        if spec.kind in ("model1", "model2"):
-            try:
-                predictions[observable.label] = predicted_series(
-                    decomposition, spec, series.times, observable.label
-                )
-            except ValueError:
-                pass
+        predictions[observable.label] = predicted_series(decomposition, spec, series.times, observable)
 
     headline_label = spec.observables[0].label
     headline = observables_summary[headline_label][f"diagnosis_{channels[-1]}"]
@@ -200,9 +194,7 @@ def write_artifacts(result: RunResult) -> list[Path]:
             if series.sampled_values is not None:
                 curves.append(("sampled", series.sampled_values, "#9ecae1"))
             curves.append(("exact", series.exact_values, "#1f77b4"))
-            prediction = result.predictions.get(label)
-            if prediction is not None:
-                curves.append(("predicted", prediction.exact_values, "#ff7f0e"))
+            curves.append(("predicted", result.predictions[label].exact_values, "#ff7f0e"))
             line_plot(
                 path,
                 series.times,

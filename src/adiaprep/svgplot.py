@@ -35,8 +35,11 @@ def _nice_step(span: float, target: int = 5) -> float:
     return 10.0 * magnitude
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
+def _ticks(lo: float, hi: float, axis: str) -> list[float]:
     step = _nice_step(hi - lo)
+    # a step below the float spacing at the axis ends cannot move a tick
+    if not step > math.ulp(max(abs(lo), abs(hi))):
+        raise ValueError(f"{axis} values must span more than the float spacing at their size")
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     t = first
@@ -84,7 +87,8 @@ def line_plot(
 
     x must be finite and strictly increasing, and every curve finite. The x
     span must reach the smallest normal float, and it and the padded y span
-    must stay below the largest float.
+    must stay below the largest float and above the float spacing at their
+    ends.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
@@ -102,6 +106,7 @@ def line_plot(
     # spans underflows to 0
     if x_hi - x_lo < sys.float_info.min:
         raise ValueError("x values must span at least the smallest normal float")
+    x_ticks = _ticks(x_lo, x_hi, "x")
     ys = [np.asarray(y, dtype=np.float64) for _, y, _ in curves]
     if not ys:
         raise ValueError("need at least one curve")
@@ -123,6 +128,7 @@ def line_plot(
         y_lo, y_hi = y_lo - pad, y_hi + pad
     if not math.isfinite(y_hi - y_lo):
         raise ValueError("y values must span less than the largest float, with padding")
+    y_ticks = _ticks(y_lo, y_hi, "y")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -146,7 +152,7 @@ def line_plot(
 
     axis_style = 'stroke="#333333" stroke-width="1"'
     grid_style = 'stroke="#dddddd" stroke-width="1"'
-    for t in _ticks(x_lo, x_hi):
+    for t in x_ticks:
         gx = px(t)
         parts.append(f'<line x1="{gx:.2f}" y1="{MARGIN_T}" x2="{gx:.2f}" '
                      f'y2="{MARGIN_T + plot_h}" {grid_style}/>')
@@ -154,7 +160,7 @@ def line_plot(
                      f'y2="{MARGIN_T + plot_h + 5}" {axis_style}/>')
         parts.append(f'<text x="{gx:.2f}" y="{MARGIN_T + plot_h + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t in y_ticks:
         gy = py(t)
         parts.append(f'<line x1="{MARGIN_L}" y1="{gy:.2f}" x2="{MARGIN_L + plot_w}" '
                      f'y2="{gy:.2f}" {grid_style}/>')

@@ -9,9 +9,11 @@ from adiaprep.analyze import (
     oscillation_stats,
     predicted_series,
 )
+from adiaprep.config import config_from_dict, preset_dict
 from adiaprep.evolve import decompose, superposition_state
 from adiaprep.measure import ShotSampler, TimeSeries, hold_series
-from adiaprep.model import model_one, model_two, pauli
+from adiaprep.model import HermitianOperator, model_one, model_two, observable_from_label, pauli
+from adiaprep.runner import run_experiment
 
 SQRT2 = np.sqrt(2.0)
 
@@ -252,28 +254,91 @@ def test_predicted_series_flat_for_pure_ground_state():
     spec2 = model_two(np.pi / 4.0)
     t = np.arange(65) * 0.125
     dec1 = decompose(spec1.reference_ground_state, spec1)
-    assert np.max(np.abs(predicted_series(dec1, spec1, t, "Z").exact_values)) < 1e-15
-    assert np.allclose(predicted_series(dec1, spec1, t, "-X").exact_values, -1.0)
+    assert np.max(np.abs(predicted_series(dec1, spec1, t, pauli("Z")).exact_values)) < 1e-15
+    minus_x = observable_from_label("-X")
+    assert np.allclose(predicted_series(dec1, spec1, t, minus_x).exact_values, -1.0)
     dec2 = decompose(spec2.reference_ground_state, spec2)
-    assert np.allclose(predicted_series(dec2, spec2, t, "Z").exact_values, 1.0 / SQRT2)
+    assert np.allclose(predicted_series(dec2, spec2, t, pauli("Z")).exact_values, 1.0 / SQRT2)
 
 
 def test_predicted_series_matches_hold_record():
-    # closed form vs actual propagation of the same decomposition
-    for spec, label in ((model_one(1.0), "Z"), (model_two(np.pi / 4.0), "Z")):
+    # the two-level formula vs actual propagation of the same decomposition
+    for spec in (model_one(1.0), model_two(np.pi / 4.0)):
         psi = superposition_state(spec, 0.12, 0.9)
-        series = hold_series(psi, spec, pauli("Z"), 8.0, 0.125, 0, ShotSampler(0))
-        predicted = predicted_series(decompose(psi, spec), spec, series.times, label)
-        assert np.max(np.abs(predicted.exact_values - series.exact_values)) < 1e-9
+        for label in ("Z", "-X", "Y"):
+            observable = observable_from_label(label)
+            series = hold_series(psi, spec, observable, 8.0, 0.125, 0, ShotSampler(0))
+            predicted = predicted_series(decompose(psi, spec), spec, series.times, observable)
+            assert np.max(np.abs(predicted.exact_values - series.exact_values)) < 1e-13
 
 
-def test_predicted_series_rejections():
-    spec1 = model_one(1.0)
-    dec = decompose(spec1.reference_ground_state, spec1)
-    t = np.arange(65) * 0.125
-    with pytest.raises(ValueError, match="observable"):
-        predicted_series(dec, spec1, t, "Y")
-    custom = model_one(1.0)
-    object.__setattr__(custom, "kind", None)
-    with pytest.raises(ValueError, match="built-in"):
-        predicted_series(dec, custom, t, "Z")
+def test_predicted_series_rejects_a_dimension_mismatch():
+    spec = model_one(1.0)
+    dec = decompose(spec.reference_ground_state, spec)
+    big = HermitianOperator(np.eye(3), "big")
+    with pytest.raises(ValueError, match=r"observable 'big' dimension 3 != model dimension 2"):
+        predicted_series(dec, spec, np.arange(65) * 0.125, big)
+
+
+def _json_matrix(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def _beside_seeded_block(top, rng):
+    """top beside a seeded Hermitian 6x6 block whose spectrum sits in [2, 4]."""
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    block = (g + g.conj().T) / 2.0
+    m = np.zeros((8, 8), dtype=np.complex128)
+    m[:2, :2] = top
+    m[2:, 2:] = block / np.linalg.norm(block) + 3.0 * np.eye(6)
+    return _json_matrix(m)
+
+
+THREE_LEVEL = {
+    "model": {
+        "initial": [[-1, 0, 0], [0, 1, 0], [0, 0, 4]],
+        "target": [[0, -1, 0], [-1, 0, 0], [0, 0, 4]],
+    },
+    "observables": [
+        {"label": "A", "matrix": [[1, [0.5, -0.2], 0.3], [[0.5, 0.2], -0.5, 0], [0.3, 0, 2]]},
+        {"label": "B", "matrix": [[0.2, [0, -1], [0, 0.2]], [[0, 1], 0.2, 0.1], [[0, -0.2], 0.1, -1]]},
+    ],
+}
+
+
+def _wide_inline():
+    # fig2's 2x2 block beside seeded 6x6 blocks, shaped like the wide inline benchmark
+    rng = np.random.default_rng(3)
+    z = pauli("Z").matrix
+    return {
+        "model": {
+            "initial": _beside_seeded_block(-z, rng),
+            "target": _beside_seeded_block(-pauli("H").matrix, rng),
+        },
+        "total_time": 9.0,
+        "observables": [{"label": "Z", "matrix": _json_matrix(np.diag([1, -1, 0, 0, 0, 0, 0, 0]))}],
+    }
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("fig1a", {}),
+        ("fig1b", {}),
+        ("fig2", {}),
+        ("fig1a", {"observables": ["Y"]}),
+        ("fig1a", THREE_LEVEL),
+        ("fig2", _wide_inline()),
+    ],
+    ids=["fig1a-Z", "fig1b-minusX", "fig2-Z", "model1-Y", "inline-3x3", "inline-8x8"],
+)
+def test_every_observable_gets_a_prediction_that_matches_its_record(preset, overrides):
+    data = {**preset_dict(preset), "shots": 0, **overrides}
+    data["outputs"] = {"directory": "unused", "csv": False, "json": False, "svg": False}
+    result = run_experiment(config_from_dict(data))
+    assert result.predictions.keys() == result.series.keys()
+    assert len(result.series) == len(data["observables"])
+    for label, series in result.series.items():
+        predicted = result.predictions[label]
+        np.testing.assert_array_equal(predicted.times, series.times)
+        assert np.max(np.abs(predicted.exact_values - series.exact_values)) <= 1e-13, label

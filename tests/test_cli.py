@@ -156,6 +156,21 @@ def test_cli_run_exact_only_leaves_sampled_columns_empty(tmp_path):
     assert summary["headline_channel"] == "exact"
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_cli_run_accepts_a_scaled_observable(tmp_path, scale):
+    # the imaginary residue of <v|O|v> is rounding of size |O|*eps, so the
+    # guard scales with the observable; a fixed 1e-12 used to exit 3 here
+    beta_sq = {}
+    for label, s in (("Z", 1.0), ("Zs", scale)):
+        out = tmp_path / label
+        matrix = json.dumps([[s, 0], [0, -s]])
+        observables = f'observables=[{{"label":"{label}","matrix":{matrix}}}]'
+        args = ["run", "--preset", "fig2", "--set", "shots=0", "--set", observables]
+        assert run_cli([*args, "--out", str(out)]) == 0
+        beta_sq[label] = json.loads((out / "summary.json").read_text())["beta_sq"]
+    assert beta_sq["Zs"] == pytest.approx(beta_sq["Z"], rel=1e-9)
+
+
 def test_cli_run_summary_round_trips_and_has_no_volatile_fields(tmp_path):
     out = tmp_path / "fig2"
     assert run_cli(["run", "--preset", "fig2", "--out", str(out)]) == 0

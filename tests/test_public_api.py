@@ -50,6 +50,7 @@ def test_removed_options_are_gone():
         (adiaprep.hold_series, "hold_integrator"),
         (adiaprep.hold_series, "substep_width"),
         (adiaprep.AdiabaticSchedule, "profile"),
+        (adiaprep.predicted_series, "observable_label"),
     ):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):

@@ -88,6 +88,11 @@ def test_line_plot_rejects_bad_input(tmp_path):
     for x in ([0.0, 2e-323], [1e-310, 1.5e-310]):
         with pytest.raises(ValueError, match="x values must span at least the smallest normal float"):
             line_plot(tmp_path / "x.svg", x, [("a", [0.0, 1.0], "#000")])
+    # spans so small next to their values that a tick step cannot move a tick
+    with pytest.raises(ValueError, match="x values must span more than the float spacing"):
+        line_plot(tmp_path / "x.svg", [1.0, 1.0000000000000002], [("a", [0, 1], "#000")])
+    with pytest.raises(ValueError, match="y values must span more than the float spacing"):
+        line_plot(tmp_path / "x.svg", [0.0, 1.0], [("a", [1e6, 1e6 + 1e-10], "#000")])
     assert not (tmp_path / "x.svg").exists()
     # the smallest normal span still draws
     line_plot(tmp_path / "tiny.svg", [0.0, sys.float_info.min], [("a", [0.0, 1.0], "#000")])
