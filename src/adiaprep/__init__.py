@@ -13,6 +13,7 @@ from __future__ import annotations
 from .analyze import (
     OscillationStats,
     VacuumDiagnosis,
+    diagnose,
     diagnose_anticommuting,
     diagnose_general,
     oscillation_stats,
@@ -33,7 +34,6 @@ from .linalg import EigenSystem, eig_hermitian, expm_minus_i
 from .measure import (
     ShotSampler,
     TimeSeries,
-    expectation,
     heisenberg_z_closed_form,
     hold_series,
     sample_expectation,
@@ -68,11 +68,11 @@ __all__ = [
     "TimeSeries",
     "VacuumDiagnosis",
     "decompose",
+    "diagnose",
     "diagnose_anticommuting",
     "diagnose_general",
     "eig_hermitian",
     "exact_midpoint_step",
-    "expectation",
     "expm_minus_i",
     "heisenberg_z_closed_form",
     "hold_series",

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import ResidualDecomposition
-from .measure import TimeSeries
+from .measure import TimeSeries, _residue_tolerance
 from .model import HermitianOperator, ModelSpec
 
 __all__ = [
     "OscillationStats",
     "VacuumDiagnosis",
+    "diagnose",
     "diagnose_anticommuting",
     "diagnose_general",
     "oscillation_stats",
@@ -163,6 +164,33 @@ def _pick_mean(stats: OscillationStats, estimator: str) -> float:
     return getattr(stats, f"mean_{estimator}")
 
 
+def _diagnosis(
+    stats: OscillationStats,
+    reference_value: float,
+    noise_floor: float,
+    mean_estimator: str,
+) -> VacuumDiagnosis:
+    """The arithmetic both cases share; reference_value 0 is the anticommuting
+    case, whose off-diagonal element is 1 and whose mean needs no correction."""
+    anticommuting = reference_value == 0.0
+    scale = 1.0 if anticommuting else reference_value
+    variance = _effective_variance(stats.variance, noise_floor)
+    alpha_beta_sq = variance / (2.0 * scale * scale)
+    beta_sq = _smaller_weight_root(alpha_beta_sq)
+    raw = _pick_mean(stats, mean_estimator)
+    return VacuumDiagnosis(
+        beta_sq=beta_sq,
+        alpha_beta_sq=alpha_beta_sq,
+        raw_average=raw,
+        corrected_value=raw if anticommuting else raw / (1.0 - 2.0 * beta_sq),
+        reference_value=reference_value,
+        model_kind="anticommuting" if anticommuting else "general",
+        beta_sq_shortcut=alpha_beta_sq,
+        noise_floor=noise_floor,
+        predicted_conserved=-1.0 + 2.0 * beta_sq if anticommuting else None,
+    )
+
+
 def diagnose_anticommuting(
     stats: OscillationStats,
     *,
@@ -177,21 +205,7 @@ def diagnose_anticommuting(
     is beta_sq itself and the predicted value -1 + 2*beta_sq of the
     conserved companion observable.
     """
-    variance = _effective_variance(stats.variance, noise_floor)
-    alpha_beta_sq = 0.5 * variance
-    beta_sq = _smaller_weight_root(alpha_beta_sq)
-    raw = _pick_mean(stats, mean_estimator)
-    return VacuumDiagnosis(
-        beta_sq=beta_sq,
-        alpha_beta_sq=alpha_beta_sq,
-        raw_average=raw,
-        corrected_value=raw,
-        reference_value=0.0,
-        model_kind="anticommuting",
-        beta_sq_shortcut=alpha_beta_sq,
-        noise_floor=noise_floor,
-        predicted_conserved=-1.0 + 2.0 * beta_sq,
-    )
+    return _diagnosis(stats, 0.0, noise_floor, mean_estimator)
 
 
 def diagnose_general(
@@ -211,22 +225,44 @@ def diagnose_general(
     """
     c = float(ground_expectation_gap)
     if not (np.isfinite(c) and c != 0.0):
-        raise ValueError(f"ground_expectation_gap must be nonzero, got {ground_expectation_gap!r}")
-    variance = _effective_variance(stats.variance, noise_floor)
-    alpha_beta_sq = variance / (2.0 * c * c)
-    beta_sq = _smaller_weight_root(alpha_beta_sq)
-    raw = _pick_mean(stats, mean_estimator)
-    occupation_factor = 1.0 - 2.0 * beta_sq
-    return VacuumDiagnosis(
-        beta_sq=beta_sq,
-        alpha_beta_sq=alpha_beta_sq,
-        raw_average=raw,
-        corrected_value=raw / occupation_factor,
-        reference_value=c,
-        model_kind="general",
-        beta_sq_shortcut=alpha_beta_sq,
-        noise_floor=noise_floor,
-    )
+        raise ValueError(f"ground_expectation_gap must be nonzero, got {c!r}")
+    return _diagnosis(stats, c, noise_floor, mean_estimator)
+
+
+def _pair_elements(spec: ModelSpec, observable: HermitianOperator) -> tuple[float, float, complex]:
+    """(O_gg, O_ee, O_ge) on the target's reference pair, O_xy = <x|O|y>."""
+    if observable.dim != spec.dim:
+        raise ValueError(
+            f"observable {observable.label!r} dimension {observable.dim} != model dimension {spec.dim}"
+        )
+    g, e, o = spec.reference_ground_state, spec.reference_excited_state, observable.matrix
+    return np.vdot(g, o @ g).real, np.vdot(e, o @ e).real, np.vdot(g, o @ e)
+
+
+def diagnose(
+    stats: OscillationStats,
+    spec: ModelSpec,
+    observable: HermitianOperator,
+    *,
+    noise_floor: float = 0.0,
+    mean_estimator: str = "minmax",
+) -> VacuumDiagnosis:
+    """Diagnose a hold record by the observable's elements on the reference pair.
+
+    O_gg and O_ee both zero within rounding make the record beat around zero:
+    the anticommuting case, which needs |O_ge| = 1. Otherwise the record beats
+    around O_gg and the general case corrects the time average.
+    """
+    o_gg, o_ee, o_ge = _pair_elements(spec, observable)
+    tol = _residue_tolerance(observable.matrix)
+    if abs(o_gg) > tol or abs(o_ee) > tol:
+        return diagnose_general(stats, o_gg, noise_floor=noise_floor, mean_estimator=mean_estimator)
+    if abs(abs(o_ge) - 1.0) > 1e-9:
+        raise ValueError(
+            f"observable {observable.label!r} is off-diagonal on the reference pair with "
+            f"|<g|O|e>| = {float(abs(o_ge))!r}; the anticommuting diagnosis needs 1"
+        )
+    return diagnose_anticommuting(stats, noise_floor=noise_floor, mean_estimator=mean_estimator)
 
 
 def predicted_series(
@@ -240,17 +276,9 @@ def predicted_series(
     The state a|g> + b*e^{-i*theta}|e> held under the target gives
     a^2*O_gg + b^2*O_ee + 2ab*Re(e^{-i(w*t + theta)}*O_ge), O_xy = <x|O|y>.
     """
-    if observable.dim != spec.dim:
-        raise ValueError(
-            f"observable {observable.label!r} dimension {observable.dim} != model dimension {spec.dim}"
-        )
-    g, e, o = spec.reference_ground_state, spec.reference_excited_state, observable.matrix
+    o_gg, o_ee, o_ge = _pair_elements(spec, observable)
     a, b = decomposition.alpha_mod, decomposition.beta_mod
     t = np.asarray(times, dtype=np.float64)
     phase = spec.oscillation_angular_frequency() * t + decomposition.theta
-    y = (
-        a * a * np.vdot(g, o @ g).real
-        + b * b * np.vdot(e, o @ e).real
-        + 2.0 * a * b * (np.exp(-1j * phase) * np.vdot(g, o @ e)).real
-    )
+    y = a * a * o_gg + b * b * o_ee + 2.0 * a * b * (np.exp(-1j * phase) * o_ge).real
     return TimeSeries(t, y, None, None, 0, f"{observable.label} (predicted)")

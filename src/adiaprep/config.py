@@ -14,11 +14,10 @@ import numpy as np
 from .analyze import MEAN_ESTIMATORS
 from .evolve import INTEGRATORS
 from .model import (
+    BUILTIN_MODELS,
     AdiabaticSchedule,
     HermitianOperator,
     ModelSpec,
-    model_one,
-    model_two,
     observable_from_label,
 )
 from .linalg import eig_hermitian
@@ -159,7 +158,7 @@ class ExperimentConfig:
             "must be 'model1', 'model2', or an inline {initial, target} object",
         )
         if isinstance(self.model, str):
-            _require(self.model in ("model1", "model2"), "model", f"unknown model {self.model!r}")
+            _require(self.model in BUILTIN_MODELS, "model", f"unknown model {self.model!r}")
         positive = ["coupling", "total_time", "step_width", "hold_duration"]
         if self.sample_dt is not None:
             positive.append("sample_dt")
@@ -211,10 +210,8 @@ class ExperimentConfig:
     def build_model(self) -> ModelSpec:
         """Resolve the model plus configured observables into a ModelSpec."""
         try:
-            if self.model == "model1":
-                base = model_one(self.coupling)
-            elif self.model == "model2":
-                base = model_two(self.coupling)
+            if isinstance(self.model, str):
+                base = BUILTIN_MODELS[self.model](self.coupling)
             else:
                 base = self._build_inline_model()
         except ConfigError:

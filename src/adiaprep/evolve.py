@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 INTEGRATORS = ("trotter2", "exact-midpoint")
+# largest norm a prepared state may carry outside the target reference pair
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,10 @@ def superposition_state(spec: ModelSpec, beta_mod: float, theta: float = 0.0) ->
     )
 
 
-def decompose(v: np.ndarray, spec: ModelSpec, *, residual_tol: float = 1e-6) -> ResidualDecomposition:
+def decompose(v: np.ndarray, spec: ModelSpec) -> ResidualDecomposition:
     """Project a prepared state onto the target reference pair.
 
-    Rejects states with more than residual_tol norm outside the two
+    Rejects states with more than RESIDUAL_TOL norm outside the two
     reference levels; the two-level diagnosis would silently misread them.
     """
     v = as_state_vector(v)
@@ -150,10 +152,10 @@ def decompose(v: np.ndarray, spec: ModelSpec, *, residual_tol: float = 1e-6) -> 
     a = np.vdot(g, v)
     b = np.vdot(e, v)
     residual = float(np.linalg.norm(v - a * g - b * e))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ValueError(
             f"state has norm {residual:.3e} outside the reference pair "
-            f"(tolerance {residual_tol:g})"
+            f"(tolerance {RESIDUAL_TOL:g})"
         )
     product = a * np.conj(b)
     if abs(product) < 1e-15:

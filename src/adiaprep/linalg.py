@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
+# largest | ||v|| - 1 | a state vector may carry
+NORM_TOL = 1e-10
 # convergence: off-diagonal Frobenius mass relative to the full Frobenius norm
 JACOBI_RELATIVE_TOL = 1e-14
 # components at or below this modulus are ignored when choosing the pivot
@@ -77,7 +79,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def as_state_vector(amplitudes, *, norm_tol: float = 1e-10) -> np.ndarray:
+def as_state_vector(amplitudes) -> np.ndarray:
     """Coerce to a normalized complex128 vector."""
     v = np.array(amplitudes, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
@@ -86,8 +88,8 @@ def as_state_vector(amplitudes, *, norm_tol: float = 1e-10) -> np.ndarray:
     if bad.size:
         raise ValueError(f"non-finite amplitude at index {bad[0][0]}: {v[bad[0][0]]}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > norm_tol:
-        raise ValueError(f"state vector norm {norm!r} differs from 1 by more than {norm_tol:g}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state vector norm {norm!r} differs from 1 by more than {NORM_TOL:g}")
     return v
 
 

@@ -20,7 +20,6 @@ from .model import HermitianOperator, ModelSpec, pauli
 __all__ = [
     "ShotSampler",
     "TimeSeries",
-    "expectation",
     "heisenberg_z_closed_form",
     "hold_series",
     "sample_expectation",
@@ -52,25 +51,9 @@ class ShotSampler:
         return np.random.default_rng(np.random.SeedSequence([self.seed & _SEED_MASK, digest]))
 
 
-def _operator_matrix(o) -> np.ndarray:
-    return o.matrix if isinstance(o, HermitianOperator) else np.asarray(o, dtype=np.complex128)
-
-
 def _residue_tolerance(m: np.ndarray) -> float:
     """Largest imaginary part <v|O|v> may keep: rounding scales with |O|."""
     return 1e-12 * max(1.0, float(np.max(np.abs(m))))
-
-
-def expectation(v: np.ndarray, observable) -> float:
-    """Exact <v|O|v>, guarding against a non-real result."""
-    v = as_state_vector(v)
-    m = _operator_matrix(observable)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {m.shape} vs state {v.shape}")
-    value = complex(np.vdot(v, m @ v))
-    if abs(value.imag) > _residue_tolerance(m):
-        raise ArithmeticError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
 
 
 def _matvec_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -100,12 +83,14 @@ def _sample_means(
     return means, np.sqrt(np.maximum(variance, 0.0) / float(shots))
 
 
-def sample_expectation(v: np.ndarray, observable, shots: int, sampler: ShotSampler) -> float:
+def sample_expectation(
+    v: np.ndarray, observable: HermitianOperator, shots: int, sampler: ShotSampler
+) -> float:
     """Average of `shots` projective measurements in the observable eigenbasis."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     v = as_state_vector(v)
-    es = eig_hermitian(_operator_matrix(observable))
+    es = eig_hermitian(observable.matrix)
     means, _ = _sample_means(v[None, :], es, shots, sampler.generator)
     return float(means[0])
 

@@ -16,6 +16,7 @@ from .linalg import as_complex_matrix, as_state_vector
 
 __all__ = [
     "AdiabaticSchedule",
+    "BUILTIN_MODELS",
     "HermitianOperator",
     "ModelSpec",
     "model_one",
@@ -186,7 +187,7 @@ class ModelSpec:
         Exactly 2*J for the built-in models; the reference level splitting
         otherwise.
         """
-        if self.kind in ("model1", "model2"):
+        if self.kind in BUILTIN_MODELS:
             return 2.0 * self.coupling
         return self.excited_energy - self.ground_energy
 
@@ -245,3 +246,7 @@ def model_two(coupling: float) -> ModelSpec:
         reference_excited_state=excited,
         kind="model2",
     )
+
+
+# the built-in models by config name; a spec's kind is its name here
+BUILTIN_MODELS = {"model1": model_one, "model2": model_two}

@@ -14,18 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyze import (
-    OscillationStats,
-    VacuumDiagnosis,
-    diagnose_anticommuting,
-    diagnose_general,
-    oscillation_stats,
-    predicted_series,
-)
+from .analyze import diagnose, oscillation_stats, predicted_series
 from .config import ConfigError, ExperimentConfig, _artifact_name
 from .evolve import decompose, run_adiabatic
-from .measure import ShotSampler, TimeSeries, expectation, hold_series
-from .model import AdiabaticSchedule, HermitianOperator, ModelSpec
+from .measure import ShotSampler, TimeSeries, hold_series
+from .model import AdiabaticSchedule, ModelSpec
 from .svgplot import line_plot
 
 __all__ = ["RunResult", "run_and_write", "run_experiment", "sweep", "write_artifacts"]
@@ -47,29 +40,6 @@ class RunResult:
     predictions: dict[str, TimeSeries]
     spec: ModelSpec
     elapsed_seconds: float
-
-
-def _anticommutes_with_target(observable: HermitianOperator, spec: ModelSpec) -> bool:
-    o = observable.matrix
-    h = spec.target.matrix
-    defect = float(np.max(np.abs(o @ h + h @ o)))
-    scale = max(1.0, float(np.max(np.abs(o))) * float(np.max(np.abs(h))))
-    return defect <= 1e-10 * scale
-
-
-def _diagnose(
-    spec: ModelSpec,
-    observable: HermitianOperator,
-    stats: OscillationStats,
-    noise_floor: float,
-    mean_estimator: str,
-) -> VacuumDiagnosis:
-    if _anticommutes_with_target(observable, spec):
-        return diagnose_anticommuting(
-            stats, noise_floor=noise_floor, mean_estimator=mean_estimator
-        )
-    c = expectation(spec.reference_ground_state, observable)
-    return diagnose_general(stats, c, noise_floor=noise_floor, mean_estimator=mean_estimator)
 
 
 def _fields(result) -> dict:
@@ -121,7 +91,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 entry["stderr_point_mean"] = float(np.mean(stderr))
                 # standard error of the window-averaged sampled mean
                 entry["stderr_window_mean"] = float(np.sqrt(np.sum(stderr**2)) / window)
-            diag = _diagnose(spec, observable, stats, noise_floor, cfg.mean_estimator)
+            diag = diagnose(stats, spec, observable, noise_floor=noise_floor, mean_estimator=cfg.mean_estimator)
             entry[f"stats_{channel}"] = _fields(stats)
             entry[f"diagnosis_{channel}"] = _fields(diag)
         observables_summary[observable.label] = entry

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from adiaprep.analyze import (
     OscillationStats,
+    diagnose,
     diagnose_anticommuting,
     diagnose_general,
     oscillation_stats,
@@ -210,6 +211,9 @@ def test_general_rejects_zero_offset_scale():
     stats = oscillation_stats(cosine_series(0.1, 0.0), 2.0)
     with pytest.raises(ValueError, match="nonzero"):
         diagnose_general(stats, 0.0)
+    # a numpy scalar, as the reference-pair elements are, prints as a plain float
+    with pytest.raises(ValueError, match=r"nonzero, got 0\.0$"):
+        diagnose_general(stats, np.float64(0.0))
 
 
 def test_general_negative_offset_scale():
@@ -247,6 +251,25 @@ def test_general_recovery_property(b_sq, theta, offset_scale):
     diag = diagnose_general(oscillation_stats(series, 2.0), offset_scale)
     assert diag.beta_sq == pytest.approx(b_sq, rel=1e-6, abs=1e-12)
     assert diag.corrected_value == pytest.approx(offset_scale, rel=1e-9)
+
+
+ANTICOMMUTING = {("model1", "Z"), ("model1", "Y"), ("model2", "Y")}
+
+
+@pytest.mark.parametrize("label", ["Z", "-Z", "X", "-X", "Y", "-Y", "H", "-H"])
+@pytest.mark.parametrize("model", ["model1", "model2"])
+def test_diagnose_picks_the_case_from_the_reference_pair(model, label):
+    spec = {"model1": model_one, "model2": model_two}[model](1.0)
+    observable = observable_from_label(label)
+    series = TimeSeries(np.arange(65) * (np.pi / 32.0), np.zeros(65), None, None, 0, label)
+    diag = diagnose(oscillation_stats(series, 2.0), spec, observable)
+    g = spec.reference_ground_state
+    if (model, label.lstrip("-")) in ANTICOMMUTING:
+        assert diag.model_kind == "anticommuting"
+        assert diag.reference_value == 0.0
+    else:
+        assert diag.model_kind == "general"
+        assert diag.reference_value == np.vdot(g, observable.matrix @ g).real
 
 
 def test_predicted_series_flat_for_pure_ground_state():

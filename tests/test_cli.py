@@ -259,6 +259,45 @@ def test_cli_run_inline_model(tmp_path):
     assert 0.0 < summary["beta_sq"] < 0.1
 
 
+def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):
+    # D's reference-pair block is model1's Z, but <g|D|g> = <e|D|e> is rounding
+    # (-2.2e-17), which the general case used to divide by and exit 3
+    grid = {"coupling": 1.0, "total_time": 18.0, "step_width": 0.125,
+            "hold_duration": 12.0, "sample_dt": 0.0625, "shots": 0, "seed": 5}
+    inline = {
+        **grid,
+        "model": {
+            "initial": [[-1, 0, 0], [0, 1, 0], [0, 0, 4]],
+            "target": [[0, -1, 0], [-1, 0, 0], [0, 0, 4]],
+        },
+        "observables": [{"label": "D", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0.5]]}],
+    }
+    flip = {**grid, "model": "model1", "observables": ["Z"]}
+    diagnoses = {}
+    for name, cfg, label in (("inline", inline, "D"), ("flip", flip, "Z")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        diagnoses[name] = summary["observables"][label]["diagnosis_exact"]
+    inline_diag, flip_diag = diagnoses["inline"], diagnoses["flip"]
+    assert inline_diag["model_kind"] == "anticommuting"
+    for key in ("beta_sq", "raw_average", "corrected_value"):
+        assert inline_diag[key] == pytest.approx(flip_diag[key], rel=1e-12), key
+
+
+def test_cli_rejects_an_anticommuting_observable_without_unit_element(tmp_path, capsys):
+    # 2Z is off-diagonal on model1's reference pair with |<g|O|e>| = 2; the
+    # anticommuting case assumes 1 and used to report 4x the weight
+    observables = 'observables=[{"label":"Z2","matrix":[[2,0],[0,-2]]}]'
+    args = ["run", "--preset", "fig1a", "--set", "shots=0", "--set", observables]
+    assert run_cli([*args, "--out", str(tmp_path / "z2")]) == 3
+    err = capsys.readouterr().err
+    assert "observable 'Z2'" in err
+    assert "|<g|O|e>| = 1.9999999999999996;" in err
+    assert "np.float64" not in err
+
+
 def test_cli_rejects_an_inline_model_whose_hermitian_part_overflows(tmp_path, capsys):
     # every entry is finite, but (a + a^H)/2 is not: this used to ramp into
     # NaN amplitudes and exit 3 after numpy overflow warnings

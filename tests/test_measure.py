@@ -9,7 +9,6 @@ from adiaprep.measure import (
     ShotSampler,
     TimeSeries,
     _sample_means,
-    expectation,
     heisenberg_z_closed_form,
     hold_series,
     sample_expectation,
@@ -27,23 +26,6 @@ from adiaprep.model import (
 SQRT2 = np.sqrt(2.0)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / SQRT2
-
-
-def test_expectation_basics():
-    z = pauli("Z")
-    assert expectation(KET0, z) == pytest.approx(1.0)
-    assert expectation(PLUS, z) == pytest.approx(0.0, abs=1e-15)
-    assert expectation(PLUS, pauli("X")) == pytest.approx(1.0)
-
-
-def test_expectation_of_z_on_hadamard_ground_state():
-    g = model_two(1.0).reference_ground_state
-    assert expectation(g, pauli("Z")) == pytest.approx(1.0 / SQRT2, abs=1e-14)
-
-
-def test_expectation_dimension_check():
-    with pytest.raises(ValueError, match="mismatch"):
-        expectation(np.array([1.0, 0.0, 0.0], dtype=complex) , pauli("Z"))
 
 
 def test_sample_expectation_eigenstate_is_exact():
@@ -250,10 +232,10 @@ def test_hold_series_exact_channel_matches_propagator_at_every_point():
         coeff = es.eigenvectors.conj().T @ v
         for k, t in enumerate(series.times):
             w = expm_minus_i(spec.target.matrix, t) @ v
-            assert abs(series.exact_values[k] - expectation(w, o)) < 1e-14
+            assert abs(series.exact_values[k] - np.vdot(w, o.matrix @ w).real) < 1e-14
             # the same arithmetic as propagating this one point on its own
             w = es.eigenvectors @ (np.exp(-1j * es.eigenvalues * t) * coeff)
-            assert series.exact_values[k] == expectation(w, o)
+            assert series.exact_values[k] == np.vdot(w, o.matrix @ w).real
 
 
 def test_hold_series_rejects_imaginary_residue():
@@ -302,5 +284,6 @@ def test_heisenberg_form_reproduces_hold_record_from_initial_state():
     psi = run_adiabatic(spec, AdiabaticSchedule(9.0, 1.0 / 24.0))
     series = hold_series(psi, spec, pauli("Z"), 4.0, 0.25, 0, ShotSampler(0))
     for k, t in enumerate(series.times):
-        heisenberg = expectation(psi, heisenberg_z_closed_form(t, np.pi / 4.0))
+        z_t = heisenberg_z_closed_form(t, np.pi / 4.0).matrix
+        heisenberg = np.vdot(psi, z_t @ psi).real
         assert heisenberg == pytest.approx(series.exact_values[k], abs=1e-12)

@@ -17,7 +17,7 @@ UNUSED_STDLIB = ("urllib.request", "http", "email", "ssl", "socket", "xml")
 REMOVED = {
     "linalg": ("apply", "hermiticity_defect"),
     "evolve": ("evolve_exact",),
-    "measure": ("shot_std",),
+    "measure": ("shot_std", "expectation"),
     "model": ("hamiltonian_at", "spectral_gap_at"),
 }
 
@@ -51,6 +51,8 @@ def test_removed_options_are_gone():
         (adiaprep.hold_series, "substep_width"),
         (adiaprep.AdiabaticSchedule, "profile"),
         (adiaprep.predicted_series, "observable_label"),
+        (adiaprep.decompose, "residual_tol"),
+        (adiaprep.linalg.as_state_vector, "norm_tol"),
     ):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):
