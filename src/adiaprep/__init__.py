@@ -24,11 +24,9 @@ from .evolve import (
     INTEGRATORS,
     ResidualDecomposition,
     decompose,
-    exact_midpoint_step,
     initial_state,
     run_adiabatic,
     superposition_state,
-    trotter2_step,
 )
 from .linalg import EigenSystem, eig_hermitian, expm_minus_i
 from .measure import (
@@ -72,7 +70,6 @@ __all__ = [
     "diagnose_anticommuting",
     "diagnose_general",
     "eig_hermitian",
-    "exact_midpoint_step",
     "expm_minus_i",
     "heisenberg_z_closed_form",
     "hold_series",
@@ -90,5 +87,4 @@ __all__ = [
     "sample_expectation",
     "superposition_state",
     "sweep",
-    "trotter2_step",
 ]

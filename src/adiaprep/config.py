@@ -173,6 +173,11 @@ class ExperimentConfig:
                 f"must be a number > 0 (got {value!r})",
             )
         _require(
+            round(self.hold_duration / self.sample_dt_resolved) >= 1,
+            "hold_duration",
+            f"must exceed half a sample_dt of {self.sample_dt_resolved!r} (got {self.hold_duration!r})",
+        )
+        _require(
             isinstance(self.shots, int) and not isinstance(self.shots, bool) and self.shots >= 0,
             "shots",
             f"must be an integer >= 0 (got {self.shots!r})",

@@ -18,12 +18,12 @@ positive. One call costs 2-3 ms at n=8 on a 2-vCPU x86-64 VM (Python 3.11,
 numpy 2.4). The cost grows with n^3 per sweep; at n=64 a call takes
 about 1.3 s.
 
-n=2, the dimension of every built-in model, goes to _jacobi2: the same
-sweeps, rotations and canonical form written out on scalars, with no lists
-and no per-rotation calls. It must return the bits of the general kernel,
-signed zeros and exception text included; a test compares the two on more
-than 20,000 matrices. A 2x2 call costs about 20 us, against 40 us through
-the general kernel.
+n=2, the dimension of every built-in model, goes to _hermitian_part2 and
+_jacobi2: the same check, sweeps, rotations and canonical form written out
+on scalars. They must return the bits of the general code, signed zeros and
+exception text included; tests compare them on more than 20,000 matrices.
+A 2x2 call costs about 13 us. The ramp applies eigensystems itself;
+expm_minus_i remains as an independent propagator.
 """
 
 from __future__ import annotations
@@ -135,6 +135,19 @@ def _hermitian_part(a: list[list[complex]], tol: float) -> tuple[list[list[compl
                     )
         raise ValueError("Hermitian part has a Frobenius norm past the largest float")
     return h, norm
+
+
+def _hermitian_part2(a: list[list[complex]], tol: float) -> tuple[list[list[complex]], float]:
+    """_hermitian_part for n = 2 on scalars, with the same bits and errors: a
+    defect or an overflow goes to _hermitian_part or raises as it does there."""
+    (a00, a01), (a10, a11) = a
+    y = a10.conjugate()
+    if max(abs(a00 - a00.conjugate()), abs(a01 - y), abs(a11 - a11.conjugate())) <= tol:
+        h00, z, h11 = (a00 + a00.conjugate()) / 2.0, (a01 + y) / 2.0, (a11 + a11.conjugate()) / 2.0
+        norm = math.hypot(abs(h00), abs(z), abs(z.conjugate()), abs(h11))
+        if math.isfinite(norm):
+            return [[h00, z], [z.conjugate(), h11]], norm
+    return _hermitian_part(a, tol)
 
 
 @dataclass(frozen=True)
@@ -331,10 +344,10 @@ def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
 
 def eig_hermitian(m) -> EigenSystem:
     """Full eigensystem of a Hermitian matrix by cyclic Jacobi sweeps."""
-    a, scale = _hermitian_part(_square_rows(np.asarray(m, dtype=np.complex128)), HERMITICITY_TOL)
-    if len(a) == 2:
-        return _jacobi2(a, scale)
-    return _jacobi(a, scale)
+    rows = _square_rows(np.asarray(m, dtype=np.complex128))
+    if len(rows) == 2:
+        return _jacobi2(*_hermitian_part2(rows, HERMITICITY_TOL))
+    return _jacobi(*_hermitian_part(rows, HERMITICITY_TOL))
 
 
 def expm_minus_i(m, t: float) -> np.ndarray:

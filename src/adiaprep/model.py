@@ -102,10 +102,6 @@ class AdiabaticSchedule:
     def num_steps(self) -> int:
         return int(round(self.total_time / self.step_width))
 
-    @property
-    def discrete_end(self) -> float:
-        return self.num_steps * self.step_width
-
     def s(self, t: float) -> float:
         """Ramp parameter at time t, clipped to [0, 1]."""
         return min(max(t / self.total_time, 0.0), 1.0)

@@ -74,7 +74,7 @@ def test_boundary_terms_are_equal_at_both_ends():
         assert abs(a0) == pytest.approx(magnitude, rel=1e-12)
 
 
-@pytest.mark.parametrize("total_time", [18.0, 36.0])
+@pytest.mark.parametrize("total_time", [18.0, 36.0, 72.0])
 @pytest.mark.parametrize("model", sorted(SPECS))
 def test_ramp_excitation_follows_the_boundary_terms(model, total_time):
     ramp = ramp_excitation(model, total_time)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from adiaprep.config import (
     config_from_dict,
     preset_config,
 )
+from adiaprep.evolve import run_adiabatic
 from adiaprep.runner import run_experiment, sweep
 
 # frozen from reference runs of the Hadamard-model ramp on the fig2 grid
@@ -98,6 +100,21 @@ def test_cli_validate_rejects_bad_field(capsys):
     code = run_cli(["validate", "--preset", "fig2", "--set", "step_width=-1"])
     assert code == 2
     assert "step_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_rejects_a_hold_shorter_than_one_sample_interval(verb, tmp_path, capsys):
+    # 16 / 100 rounds to no interval: the hold grid would have one point
+    args = [verb, "--preset", "fig2", "--set", "sample_dt=100"]
+    if verb == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "'hold_duration': must exceed half a sample_dt of 100.0 (got 16.0)" in err
+    assert not (tmp_path / "out").exists()
+    # exactly half an interval rounds to none, just over half to one
+    assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=32"]) == 2
+    assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=31.9"]) == 0
 
 
 def test_cli_validate_rejects_unknown_preset(capsys):
@@ -257,6 +274,56 @@ def test_cli_run_inline_model(tmp_path):
     # ramping -Z into -X: same physics as the built-in flip model
     assert summary["observables"]["Z"]["diagnosis_exact"]["model_kind"] == "anticommuting"
     assert 0.0 < summary["beta_sq"] < 0.1
+
+
+def _json_matrix(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _beside(top, block):
+    m = np.zeros((top.shape[0] + block.shape[0],) * 2, dtype=complex)
+    m[:2, :2] = top
+    m[2:, 2:] = block
+    return m
+
+
+@pytest.mark.parametrize("integrator", ["trotter2", "exact-midpoint"])
+def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
+    # fig2's 2x2 block beside seeded 3x3 blocks whose spectra lie in [2, 4],
+    # above the block's [-1, 1], as in the benchmark's wide_inline workload.
+    # The dimension-5 ramp goes through the general propagator, the model2
+    # ramp through the 2x2 one. Jacobi rotates the block's tiny leftover
+    # off-diagonal again while the 3x3 block converges, so the eigenvectors,
+    # and with them the states, differ in the last bits; the sampled
+    # headline must still be equal, as the benchmark requires.
+    rng = np.random.default_rng(11)
+
+    def seeded_block(n):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = (g + g.conj().T) / 2.0
+        return a / np.linalg.norm(a) + 3.0 * np.eye(n)
+
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    plain = replace(preset_config("fig2"), total_time=4.5, shots=10_000, integrator=integrator)
+    data = plain.to_dict()
+    data.update(
+        model={
+            "initial": _json_matrix(_beside(-z, seeded_block(3))),
+            "target": _json_matrix(_beside(-(x + z) / np.sqrt(2.0), seeded_block(3))),
+        },
+        observables=[{"label": "Z", "matrix": _json_matrix(_beside(z, np.zeros((3, 3))))}],
+    )
+    wide = config_from_dict(data, source="block-diagonal")
+    schedule = plain.build_schedule()
+    small = run_adiabatic(plain.build_model(), schedule, integrator)
+    big = run_adiabatic(wide.build_model(), schedule, integrator)
+    assert big.shape == (5,) and not big[2:].any()
+    assert np.max(np.abs(big[:2] - small)) < 1e-14
+    got, want = run_experiment(wide).summary, run_experiment(plain).summary
+    exact = (got["observables"]["Z"]["diagnosis_exact"], want["observables"]["Z"]["diagnosis_exact"])
+    for key in ("beta_sq", "raw_average", "corrected_value"):
+        assert got[key] == want[key], key
+        assert exact[0][key] == pytest.approx(exact[1][key], rel=1e-12, abs=1e-15), key
 
 
 def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):

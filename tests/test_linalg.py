@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adiaprep import linalg
+from adiaprep import evolve, linalg
 from adiaprep.evolve import run_adiabatic
 from adiaprep.linalg import (
     EigenSystem,
@@ -375,3 +375,95 @@ def test_ramp_is_bit_identical_through_the_general_kernel(monkeypatch, integrato
     slow = run_adiabatic(spec, schedule, integrator)
     assert general and set(general) == {2}
     assert slow.tobytes() == fast.tobytes()
+
+
+def _hermitian_outcome(kernel, m):
+    try:
+        h, norm = kernel(linalg._square_rows(m), linalg.HERMITICITY_TOL)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return np.array(h, dtype=complex).tobytes(), norm.hex()
+
+
+def test_hermitian_part2_matches_the_general_one_in_bits_and_error_text():
+    rng = np.random.default_rng(7)
+    cases = _two_by_two_cases(rng, 200)
+    # anti-Hermitian residues below, at and past the tolerance
+    for eps in (1e-13, 5e-13, 1e-12, 2e-12, 1e-6):
+        for m in _two_by_two_cases(rng, 20):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            cases.append(m + eps * g / np.abs(g).max())
+    big = 1.5e308
+    cases += [
+        np.diag([1e308, -1e308]).astype(complex),
+        np.diag([1.0, big]).astype(complex),
+        np.array([[1.0, big + big * 1j], [big - big * 1j, 1.0]]),
+        # finite entries whose Hermitian part has an infinite Frobenius norm
+        np.array([[0.8e308, 0.8e308 + 0.8e308j], [0.8e308 - 0.8e308j, 0.8e308]]),
+        # a defect whose modulus overflows although both of its parts are finite
+        np.array([[0.0, 0.9e308 + 0.9e308j], [-0.4e308 + 0.4e308j, 0.0]]),
+        np.array([[0.0, 1.0], [1.0 + 1e-11j, 0.0]]),
+        np.array([[1e-11j, 1.0], [1.0, -0.0]]),
+        np.array([[-0.0, -0.0], [-0.0j, -0.0]]),
+    ]
+    raised = 0
+    for m in cases:
+        fast = _hermitian_outcome(linalg._hermitian_part2, m)
+        assert fast == _hermitian_outcome(linalg._hermitian_part, m), m.tolist()
+        raised += isinstance(fast[0], type)
+    assert raised >= 100
+
+
+def _states(rng, count):
+    """Seeded unit 2-vectors, plus basis states with signed zeros."""
+    g = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    states = [list(map(complex, row / np.linalg.norm(row))) for row in g]
+    return states + [[1 + 0j, 0j], [0j, -1 + 0j], [complex(-0.0, -0.0), 1j]]
+
+
+def test_propagate2_is_bit_identical_to_the_general_kernel():
+    rng = np.random.default_rng(2025)
+    matrices = _two_by_two_cases(rng, 150)
+    for spec in (model_one(1.0), model_two(np.pi / 4.0)):
+        matrices.extend(_ramp_cases(spec, 60))
+    states = _states(rng, 4)
+    differ = []
+    for m in matrices:
+        es = eig_hermitian(m)
+        for v in states:
+            for t in (0.0, -0.0, 1.0 / 48.0, 0.5, -2.5, float(rng.uniform(-10.0, 10.0))):
+                fast = np.array(evolve._propagate2(es, t, v))
+                if fast.tobytes() != np.array(evolve._propagate(es, t, v)).tobytes():
+                    differ.append((m.tolist(), v, t))
+    assert not differ, f"{len(differ)} cases differ, first {differ[0]}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_propagate_matches_the_matrix_exponential(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m = random_hermitian(rng, n)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v = g / np.linalg.norm(g)
+        t = float(rng.uniform(-3.0, 3.0))
+        got = np.array(evolve._propagate(eig_hermitian(m), t, list(v)))
+        assert np.max(np.abs(got - expm_minus_i(m, t) @ v)) < 1e-14
+
+
+def test_propagate_keeps_an_embedded_2x2_block_to_the_bits_of_propagate2():
+    # a block-diagonal eigensystem whose lowest two pairs are a 2x2 block's:
+    # the general kernel's extra terms are exact zeros, so the block's two
+    # amplitudes come out with the 2x2 kernel's bits
+    rng = np.random.default_rng(3)
+    rest = eig_hermitian(random_hermitian(rng, 3) / 10.0 + 3.0 * np.eye(3))
+    for spec in (model_one(1.0), model_two(np.pi / 4.0)):
+        for m in _ramp_cases(spec, 30):
+            small = eig_hermitian(m)
+            vectors = np.zeros((5, 5), dtype=complex)
+            vectors[:2, :2], vectors[2:, 2:] = small.eigenvectors, rest.eigenvectors
+            big = EigenSystem(np.concatenate([small.eigenvalues, rest.eigenvalues]), vectors)
+            for v in _states(rng, 3):
+                t = float(rng.uniform(-3.0, 3.0))
+                got = np.array(evolve._propagate(big, t, v + [0j, 0j, 0j]))
+                assert got[:2].tobytes() == np.array(evolve._propagate2(small, t, v)).tobytes()
+                assert not got[2:].any()

@@ -259,6 +259,8 @@ def test_hold_series_validation():
         hold_series(psi, spec, pauli("Z"), 1.0, -0.1, 0, sampler)
     with pytest.raises(ValueError, match="shots"):
         hold_series(psi, spec, pauli("Z"), 1.0, 0.1, -1, sampler)
+    with pytest.raises(ValueError, match="shorter than one sample interval"):
+        hold_series(psi, spec, pauli("Z"), 0.04, 0.1, 0, sampler)
 
 
 def test_heisenberg_z_closed_form_at_zero_is_z():

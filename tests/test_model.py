@@ -150,7 +150,6 @@ def test_schedule_validation():
 def test_schedule_step_counts():
     sched = AdiabaticSchedule(36.0, 0.125)
     assert sched.num_steps == 288
-    assert sched.discrete_end == pytest.approx(36.0)
     single = AdiabaticSchedule(0.125, 0.125)
     assert single.num_steps == 1
 
