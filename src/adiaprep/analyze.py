@@ -251,12 +251,19 @@ def diagnose(
 
     O_gg and O_ee both zero within rounding make the record beat around zero:
     the anticommuting case, which needs |O_ge| = 1. Otherwise the record beats
-    around O_gg and the general case corrects the time average.
+    around O_gg and the general case corrects the time average, which needs
+    O_gg nonzero.
     """
     o_gg, o_ee, o_ge = _pair_elements(spec, observable)
     tol = _residue_tolerance(observable.matrix)
-    if abs(o_gg) > tol or abs(o_ee) > tol:
+    if abs(o_gg) > tol:
         return diagnose_general(stats, o_gg, noise_floor=noise_floor, mean_estimator=mean_estimator)
+    if abs(o_ee) > tol:
+        raise ValueError(
+            f"observable {observable.label!r} has <g|O|g> = {float(o_gg)!r} and "
+            f"<e|O|e> = {float(o_ee)!r} on the reference pair; the general diagnosis "
+            "corrects the average around <g|O|g> and needs it nonzero"
+        )
     if abs(abs(o_ge) - 1.0) > 1e-9:
         raise ValueError(
             f"observable {observable.label!r} is off-diagonal on the reference pair with "

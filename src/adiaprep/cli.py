@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .config import (
     ConfigError,
@@ -60,7 +61,9 @@ def _resolve_config(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    started = time.perf_counter()
     result, written = run_and_write(cfg)
+    elapsed = time.perf_counter() - started
     summary = result.summary
     print(f"beta_sq         {summary['beta_sq']:.9g}")
     print(f"raw_average     {summary['raw_average']:.9g}")
@@ -68,7 +71,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"reference_value {summary['reference_value']:.9g}")
     for path in written:
         print(f"wrote {path}")
-    print(f"done in {result.elapsed_seconds:.2f} s")
+    print(f"done in {elapsed:.2f} s")
     return EXIT_OK
 
 
@@ -81,8 +84,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
     rows, path = sweep(cfg, args.parameter, parsed)
     for row in rows:
-        print(f"{row['parameter']}={row['value']:g}  beta_sq={row['beta_sq']:.9g}  "
-              f"corrected={row['corrected_value']:.9g}")
+        line = (f"{row['parameter']}={row['value']:g}  beta_sq={row['beta_sq']:.9g}  "
+                f"corrected={row['corrected_value']:.9g}")
+        if row["trotter_deviation"] is not None:
+            line += f"  trotter_deviation={row['trotter_deviation']:.9g}"
+        print(line)
     if path is not None:
         print(f"wrote {path}")
     return EXIT_OK

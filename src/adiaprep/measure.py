@@ -10,7 +10,7 @@ The hold record is computed over the whole grid at once: one row of a
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +28,17 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShotSampler:
     """Deterministic pseudorandom source for measurement sampling.
 
     Each observable label gets its own child stream derived from
     (seed, crc32(label)), so adding an observable or reordering them does
-    not disturb the shots drawn for the others.
+    not disturb the shots drawn for the others, and every draw for a label
+    starts that stream afresh.
     """
 
     seed: int
-    _root: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._root is None:
-            self._root = np.random.default_rng(np.random.SeedSequence([self.seed & _SEED_MASK]))
-        return self._root
 
     def spawn(self, label: str) -> np.random.Generator:
         digest = zlib.crc32(label.encode("utf-8"))
@@ -86,12 +80,13 @@ def _sample_means(
 def sample_expectation(
     v: np.ndarray, observable: HermitianOperator, shots: int, sampler: ShotSampler
 ) -> float:
-    """Average of `shots` projective measurements in the observable eigenbasis."""
+    """Average of `shots` projective measurements in the observable eigenbasis,
+    drawn from the sampler stream belonging to the observable's label."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     v = as_state_vector(v)
     es = eig_hermitian(observable.matrix)
-    means, _ = _sample_means(v[None, :], es, shots, sampler.generator)
+    means, _ = _sample_means(v[None, :], es, shots, sampler.spawn(observable.label))
     return float(means[0])
 
 

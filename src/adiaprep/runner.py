@@ -8,7 +8,6 @@ two-level predicted curve overlaid on every observable's record.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -30,6 +29,13 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
+def _csv_cell(x: str | int | float | None) -> str:
+    """One sweep CSV cell: None empty, str as it is, int in full, float by FLOAT_FMT."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, (str, int)) else _fmt(x)
+
+
 @dataclass
 class RunResult:
     """Everything one experiment produced; summary is the JSON-ready view."""
@@ -39,7 +45,6 @@ class RunResult:
     series: dict[str, TimeSeries]
     predictions: dict[str, TimeSeries]
     spec: ModelSpec
-    elapsed_seconds: float
 
 
 def _fields(result) -> dict:
@@ -54,7 +59,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     sampled one; the headline is the first observable's last channel.
     """
     cfg.validate()
-    started = time.perf_counter()
     spec = cfg.build_model()
     schedule = cfg.build_schedule()
     sampler = ShotSampler(cfg.seed)
@@ -109,14 +113,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         "oscillation_angular_frequency": omega,
         "observables": observables_summary,
     }
-    elapsed = time.perf_counter() - started
     return RunResult(
         config=cfg,
         summary=summary,
         series=series_map,
         predictions=predictions,
         spec=spec,
-        elapsed_seconds=elapsed,
     )
 
 
@@ -256,18 +258,7 @@ def sweep(
         out = Path(cfg.outputs.directory)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"sweep_{parameter}.csv"
-        lines = ["parameter,value,beta_sq,raw_average,corrected_value,reference_value,stderr,trotter_deviation"]
-        for row in rows:
-            cells = [
-                row["parameter"],
-                _fmt(row["value"]) if parameter != "shots" else str(row["value"]),
-                _fmt(row["beta_sq"]),
-                _fmt(row["raw_average"]),
-                _fmt(row["corrected_value"]),
-                _fmt(row["reference_value"]),
-                "" if row["stderr"] is None else _fmt(row["stderr"]),
-                "" if row["trotter_deviation"] is None else _fmt(row["trotter_deviation"]),
-            ]
-            lines.append(",".join(cells))
+        lines = [",".join(rows[0])]
+        lines += [",".join(_csv_cell(cell) for cell in row.values()) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return rows, path

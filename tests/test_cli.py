@@ -365,6 +365,18 @@ def test_cli_rejects_an_anticommuting_observable_without_unit_element(tmp_path, 
     assert "np.float64" not in err
 
 
+def test_cli_names_an_observable_with_zero_ground_element(tmp_path, capsys):
+    # the excited-state projector on fig1a has O_gg = 0 but O_ee = 1, so the
+    # general case has no average to correct around; the message used to name
+    # only a library parameter
+    observables = 'observables=[{"label":"P","matrix":[[0.5,-0.5],[-0.5,0.5]]}]'
+    args = ["run", "--preset", "fig1a", "--set", "shots=0", "--set", observables]
+    assert run_cli([*args, "--out", str(tmp_path / "p")]) == 3
+    err = capsys.readouterr().err
+    assert "observable 'P' has <g|O|g> = 0.0 and <e|O|e> = 0.9999999999999998" in err
+    assert "np.float64" not in err
+
+
 def test_cli_rejects_an_inline_model_whose_hermitian_part_overflows(tmp_path, capsys):
     # every entry is finite, but (a + a^H)/2 is not: this used to ramp into
     # NaN amplitudes and exit 3 after numpy overflow warnings
@@ -577,6 +589,7 @@ def test_cli_sweep_verb(tmp_path, capsys):
     assert (out / "sweep_T.csv").exists()
     stdout = capsys.readouterr().out
     assert "T=4.5" in stdout and "T=36" in stdout
+    assert "trotter_deviation=" in stdout
 
 
 def test_cli_sweep_rejects_bad_values(capsys):

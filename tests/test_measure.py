@@ -41,6 +41,14 @@ def test_sample_expectation_is_deterministic_per_seed():
     assert a != c
 
 
+def test_sample_expectation_repeats_on_one_sampler():
+    # each call draws from the label's stream afresh, as hold_series does
+    sampler = ShotSampler(1)
+    assert sample_expectation(PLUS, pauli("Z"), 1000, sampler) == sample_expectation(
+        PLUS, pauli("Z"), 1000, sampler
+    )
+
+
 def test_sample_expectation_concentrates_with_shots():
     # the 1e6-shot estimate of <Z> = 0 should sit within a few sigma
     value = sample_expectation(PLUS, pauli("Z"), 1_000_000, ShotSampler(7))
