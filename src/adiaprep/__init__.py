@@ -14,8 +14,6 @@ from .analyze import (
     OscillationStats,
     VacuumDiagnosis,
     diagnose,
-    diagnose_anticommuting,
-    diagnose_general,
     oscillation_stats,
     predicted_series,
 )
@@ -29,13 +27,7 @@ from .evolve import (
     superposition_state,
 )
 from .linalg import EigenSystem, eig_hermitian, expm_minus_i
-from .measure import (
-    ShotSampler,
-    TimeSeries,
-    heisenberg_z_closed_form,
-    hold_series,
-    sample_expectation,
-)
+from .measure import ShotSampler, TimeSeries, heisenberg_z_closed_form, hold_series
 from .model import (
     AdiabaticSchedule,
     HermitianOperator,
@@ -67,8 +59,6 @@ __all__ = [
     "VacuumDiagnosis",
     "decompose",
     "diagnose",
-    "diagnose_anticommuting",
-    "diagnose_general",
     "eig_hermitian",
     "expm_minus_i",
     "heisenberg_z_closed_form",
@@ -84,7 +74,6 @@ __all__ = [
     "run_adiabatic",
     "run_and_write",
     "run_experiment",
-    "sample_expectation",
     "superposition_state",
     "sweep",
 ]

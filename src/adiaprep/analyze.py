@@ -21,8 +21,6 @@ __all__ = [
     "OscillationStats",
     "VacuumDiagnosis",
     "diagnose",
-    "diagnose_anticommuting",
-    "diagnose_general",
     "oscillation_stats",
     "predicted_series",
 ]
@@ -121,10 +119,12 @@ class VacuumDiagnosis:
     """Excitation weight inferred from a hold record, and the corrected average.
 
     beta_sq is the smaller root of b*(1-b) = alpha_beta_sq; beta_sq_shortcut
-    is the |alpha| ~ 1 approximation beta_sq ~ alpha_beta_sq. For observables
-    anti-commuting with the target the reference value is 0 and the raw
-    average is already unbiased; otherwise the record oscillates around
-    c*(1 - 2*beta_sq) and dividing restores the ground-state value c.
+    is the |alpha| ~ 1 approximation beta_sq ~ alpha_beta_sq. The record
+    oscillates around O_gg*(1 + beta_sq*(O_ee/O_gg - 1)), and dividing that
+    factor out restores the ground-state value reference_value = O_gg; with
+    O_gg = 0 the offset beta_sq*O_ee is subtracted instead. model_kind is
+    "anticommuting" when O_gg and O_ee are both zero, and only then is
+    predicted_conserved, the conserved companion's value -1 + 2*beta_sq, set.
     """
 
     beta_sq: float
@@ -164,71 +164,6 @@ def _pick_mean(stats: OscillationStats, estimator: str) -> float:
     return getattr(stats, f"mean_{estimator}")
 
 
-def _diagnosis(
-    stats: OscillationStats,
-    reference_value: float,
-    noise_floor: float,
-    mean_estimator: str,
-) -> VacuumDiagnosis:
-    """The arithmetic both cases share; reference_value 0 is the anticommuting
-    case, whose off-diagonal element is 1 and whose mean needs no correction."""
-    anticommuting = reference_value == 0.0
-    scale = 1.0 if anticommuting else reference_value
-    variance = _effective_variance(stats.variance, noise_floor)
-    alpha_beta_sq = variance / (2.0 * scale * scale)
-    beta_sq = _smaller_weight_root(alpha_beta_sq)
-    raw = _pick_mean(stats, mean_estimator)
-    return VacuumDiagnosis(
-        beta_sq=beta_sq,
-        alpha_beta_sq=alpha_beta_sq,
-        raw_average=raw,
-        corrected_value=raw if anticommuting else raw / (1.0 - 2.0 * beta_sq),
-        reference_value=reference_value,
-        model_kind="anticommuting" if anticommuting else "general",
-        beta_sq_shortcut=alpha_beta_sq,
-        noise_floor=noise_floor,
-        predicted_conserved=-1.0 + 2.0 * beta_sq if anticommuting else None,
-    )
-
-
-def diagnose_anticommuting(
-    stats: OscillationStats,
-    *,
-    noise_floor: float = 0.0,
-    mean_estimator: str = "minmax",
-) -> VacuumDiagnosis:
-    """Diagnosis for an observable that anti-commutes with the target.
-
-    Such an observable is purely off-diagonal in the reference pair with
-    unit matrix element, so the record is 2*|ab|*cos(w*t + theta): variance
-    2*|ab|^2, zero mean. The time average needs no correction; the payoff
-    is beta_sq itself and the predicted value -1 + 2*beta_sq of the
-    conserved companion observable.
-    """
-    return _diagnosis(stats, 0.0, noise_floor, mean_estimator)
-
-
-def diagnose_general(
-    stats: OscillationStats,
-    ground_expectation_gap: float,
-    *,
-    noise_floor: float = 0.0,
-    mean_estimator: str = "minmax",
-) -> VacuumDiagnosis:
-    """Diagnosis for an observable whose record oscillates around an offset.
-
-    ground_expectation_gap is c = <g|O|g> with <e|O|e> = -c and |<g|O|e>| =
-    c (the built-in Hadamard model has c = 1/sqrt(2)). The record is then
-    c*(1-2b^2) + 2c*|ab|*cos(...): variance 2*c^2*|ab|^2, and the raw
-    average understates c by the factor (1 - 2*beta_sq) that the correction
-    divides out.
-    """
-    c = float(ground_expectation_gap)
-    if not (np.isfinite(c) and c != 0.0):
-        raise ValueError(f"ground_expectation_gap must be nonzero, got {c!r}")
-    return _diagnosis(stats, c, noise_floor, mean_estimator)
-
-
 def _pair_elements(spec: ModelSpec, observable: HermitianOperator) -> tuple[float, float, complex]:
     """(O_gg, O_ee, O_ge) on the target's reference pair, O_xy = <x|O|y>."""
     if observable.dim != spec.dim:
@@ -247,29 +182,39 @@ def diagnose(
     noise_floor: float = 0.0,
     mean_estimator: str = "minmax",
 ) -> VacuumDiagnosis:
-    """Diagnose a hold record by the observable's elements on the reference pair.
+    """Diagnose a hold record from the observable's elements on the reference pair.
 
-    O_gg and O_ee both zero within rounding make the record beat around zero:
-    the anticommuting case, which needs |O_ge| = 1. Otherwise the record beats
-    around O_gg and the general case corrects the time average, which needs
-    O_gg nonzero.
+    The record of a|g> + b|e> has variance 2*|ab|^2*|O_ge|^2 and mean
+    O_gg + b^2*(O_ee - O_gg). Elements below the rounding tolerance count as
+    zero. An observable with O_ge = 0 does not beat: its variance is rounding
+    or shot noise, scaled by O_gg^2 (1 if O_gg = 0), and reports beta_sq 0.
     """
-    o_gg, o_ee, o_ge = _pair_elements(spec, observable)
     tol = _residue_tolerance(observable.matrix)
-    if abs(o_gg) > tol:
-        return diagnose_general(stats, o_gg, noise_floor=noise_floor, mean_estimator=mean_estimator)
-    if abs(o_ee) > tol:
-        raise ValueError(
-            f"observable {observable.label!r} has <g|O|g> = {float(o_gg)!r} and "
-            f"<e|O|e> = {float(o_ee)!r} on the reference pair; the general diagnosis "
-            "corrects the average around <g|O|g> and needs it nonzero"
-        )
-    if abs(abs(o_ge) - 1.0) > 1e-9:
-        raise ValueError(
-            f"observable {observable.label!r} is off-diagonal on the reference pair with "
-            f"|<g|O|e>| = {float(abs(o_ge))!r}; the anticommuting diagnosis needs 1"
-        )
-    return diagnose_anticommuting(stats, noise_floor=noise_floor, mean_estimator=mean_estimator)
+    o_gg, o_ee, o_ge = (0.0 if abs(x) <= tol else x for x in _pair_elements(spec, observable))
+    variance = _effective_variance(stats.variance, noise_floor)
+    if o_ge:
+        alpha_beta_sq = variance / (2.0 * abs(o_ge) ** 2)
+        beta_sq = _smaller_weight_root(alpha_beta_sq)
+    else:
+        alpha_beta_sq = variance / (2.0 * (o_gg * o_gg or 1.0))
+        beta_sq = 0.0
+    raw = _pick_mean(stats, mean_estimator)
+    if o_gg:
+        corrected = raw / (1.0 + beta_sq * (o_ee / o_gg - 1.0))
+    else:
+        corrected = raw - beta_sq * o_ee
+    anticommuting = not (o_gg or o_ee)
+    return VacuumDiagnosis(
+        beta_sq=beta_sq,
+        alpha_beta_sq=alpha_beta_sq,
+        raw_average=raw,
+        corrected_value=corrected,
+        reference_value=o_gg,
+        model_kind="anticommuting" if anticommuting else "general",
+        beta_sq_shortcut=alpha_beta_sq,
+        noise_floor=noise_floor,
+        predicted_conserved=-1.0 + 2.0 * beta_sq if anticommuting else None,
+    )
 
 
 def predicted_series(

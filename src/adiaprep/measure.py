@@ -22,7 +22,6 @@ __all__ = [
     "TimeSeries",
     "heisenberg_z_closed_form",
     "hold_series",
-    "sample_expectation",
 ]
 
 _SEED_MASK = (1 << 64) - 1
@@ -75,19 +74,6 @@ def _sample_means(
     means = _dot_rows(counts, lam) / float(shots)
     variance = _dot_rows(p, lam**2) - _dot_rows(p, lam) ** 2
     return means, np.sqrt(np.maximum(variance, 0.0) / float(shots))
-
-
-def sample_expectation(
-    v: np.ndarray, observable: HermitianOperator, shots: int, sampler: ShotSampler
-) -> float:
-    """Average of `shots` projective measurements in the observable eigenbasis,
-    drawn from the sampler stream belonging to the observable's label."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots!r}")
-    v = as_state_vector(v)
-    es = eig_hermitian(observable.matrix)
-    means, _ = _sample_means(v[None, :], es, shots, sampler.spawn(observable.label))
-    return float(means[0])
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,11 @@ the variance diagnosis, shot-noise scaling, and artifact determinism.
 import numpy as np
 import pytest
 
-from adiaprep.analyze import diagnose_general, oscillation_stats
+from adiaprep.analyze import diagnose, oscillation_stats
 from adiaprep.config import PRESETS, config_from_dict
 from adiaprep.evolve import run_adiabatic, superposition_state
 from adiaprep.linalg import expm_minus_i
-from adiaprep.measure import (
-    ShotSampler,
-    TimeSeries,
-    heisenberg_z_closed_form,
-    hold_series,
-    sample_expectation,
-)
+from adiaprep.measure import ShotSampler, TimeSeries, heisenberg_z_closed_form, hold_series
 from adiaprep.model import AdiabaticSchedule, model_one, model_two, pauli
 from adiaprep.runner import run_and_write, run_experiment
 
@@ -141,6 +135,8 @@ def test_criterion_5_integrator_order(report):
 def test_criterion_6_recovery_oracle(report):
     rng = np.random.default_rng(99)
     c = 1.0 / np.sqrt(2.0)
+    spec = model_two(np.pi / 4.0)
+    z = spec.observable("Z")
     per_period = 32
     worst = 0.0
     for _ in range(1000):
@@ -159,7 +155,7 @@ def test_criterion_6_recovery_oracle(report):
             shots_per_point=0,
             observable_label="Z",
         )
-        diag = diagnose_general(oscillation_stats(series, 2.0 * j), c)
+        diag = diagnose(oscillation_stats(series, 2.0 * j), spec, z)
         worst = max(worst, abs(diag.beta_sq - beta_sq) / beta_sq)
     assert worst < 1e-4
     report(f"PASS criterion 6: worst relative beta_sq error over 1000 records {worst:.2e}")
@@ -169,8 +165,10 @@ def test_criterion_7_shot_noise_scaling(report):
     spec = model_one(1.0)
     plus = spec.reference_ground_state
     z = spec.observable("Z")
+    # the first point of a two-point hold record is the prepared state itself
     estimates = [
-        sample_expectation(plus, z, 1_000_000, ShotSampler(seed)) for seed in range(100)
+        hold_series(plus, spec, z, 0.1, 0.1, 1_000_000, ShotSampler(seed)).sampled_values[0]
+        for seed in range(100)
     ]
     std = float(np.std(estimates, ddof=1))
     assert 0.8e-3 < std < 1.2e-3

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adiaprep.analyze import (
-    OscillationStats,
-    diagnose,
-    diagnose_anticommuting,
-    diagnose_general,
-    oscillation_stats,
-    predicted_series,
-)
+from adiaprep.analyze import OscillationStats, diagnose, oscillation_stats, predicted_series
 from adiaprep.config import config_from_dict, preset_dict
-from adiaprep.evolve import decompose, superposition_state
+from adiaprep.evolve import ResidualDecomposition, decompose, superposition_state
 from adiaprep.measure import ShotSampler, TimeSeries, hold_series
 from adiaprep.model import HermitianOperator, model_one, model_two, observable_from_label, pauli
 from adiaprep.runner import run_experiment
@@ -126,12 +119,17 @@ def test_stats_dataclass_guards():
         OscillationStats(0.0, 0.0, -0.1, 0.2, 0.1, 4, 128)
 
 
+MODEL1 = model_one(1.0)
+MODEL2 = model_two(np.pi / 4.0)
+Z = pauli("Z")
+
+
 def test_anticommuting_worked_example():
     # variance 7.30e-4 -> 2*beta_sq ~ 7.303e-4, predicted conserved value
     # -1 + 2*beta_sq ~ -0.999270
     amplitude = np.sqrt(2.0 * 0.000730)
     stats = oscillation_stats(cosine_series(amplitude, 0.0, theta=0.4), 2.0)
-    diag = diagnose_anticommuting(stats)
+    diag = diagnose(stats, MODEL1, Z)
     assert 2.0 * diag.beta_sq_shortcut == pytest.approx(0.000730, abs=1e-12)
     assert 2.0 * diag.beta_sq == pytest.approx(0.0007302666446862283, abs=1e-9)
     assert diag.predicted_conserved == pytest.approx(-0.999270, abs=1e-6)
@@ -145,7 +143,7 @@ def test_anticommuting_worked_example():
 
 def test_anticommuting_zero_variance_means_vacuum():
     series = TimeSeries(np.arange(65) * (np.pi / 32.0), np.zeros(65), None, None, 0, "Z")
-    diag = diagnose_anticommuting(oscillation_stats(series, 2.0))
+    diag = diagnose(oscillation_stats(series, 2.0), MODEL1, Z)
     assert diag.beta_sq == 0.0
     assert diag.predicted_conserved == pytest.approx(-1.0)
 
@@ -154,20 +152,20 @@ def test_anticommuting_rejects_equal_superposition():
     # amplitude 1 means |ab| = 1/2: no vacuum-dominated root exists
     stats = oscillation_stats(cosine_series(1.0, 0.0), 2.0)
     with pytest.raises(ValueError, match="not dominated"):
-        diagnose_anticommuting(stats)
+        diagnose(stats, MODEL1, Z)
 
 
 def test_anticommuting_noise_floor_subtraction():
     amplitude = np.sqrt(2.0 * 4e-4)
     stats = oscillation_stats(cosine_series(amplitude, 0.0), 2.0)
-    diag = diagnose_anticommuting(stats, noise_floor=1e-4)
+    diag = diagnose(stats, MODEL1, Z, noise_floor=1e-4)
     assert diag.alpha_beta_sq == pytest.approx((4e-4 - 1e-4) / 2.0, abs=1e-12)
     assert diag.noise_floor == 1e-4
     # a floor larger than the variance clamps to zero excitation
-    flat = diagnose_anticommuting(stats, noise_floor=1.0)
+    flat = diagnose(stats, MODEL1, Z, noise_floor=1.0)
     assert flat.beta_sq == 0.0
     with pytest.raises(ValueError, match="noise_floor"):
-        diagnose_anticommuting(stats, noise_floor=-1e-4)
+        diagnose(stats, MODEL1, Z, noise_floor=-1e-4)
 
 
 def test_general_worked_example():
@@ -176,7 +174,7 @@ def test_general_worked_example():
     c = 1.0 / SQRT2
     amplitude = np.sqrt(2.0 * 0.0003222)
     stats = oscillation_stats(cosine_series(amplitude, 0.706690, theta=0.25), 2.0)
-    diag = diagnose_general(stats, c)
+    diag = diagnose(stats, MODEL2, Z)
     assert diag.beta_sq_shortcut == pytest.approx(0.0003222, abs=1e-10)
     assert diag.beta_sq == pytest.approx(0.0003223, abs=5e-8)
     assert diag.raw_average == pytest.approx(0.706690, abs=1e-9)
@@ -189,7 +187,7 @@ def test_general_worked_example():
 
 def test_general_zero_variance_leaves_average_unchanged():
     series = TimeSeries(np.arange(65) * (np.pi / 32.0), np.full(65, 0.7), None, None, 0, "Z")
-    diag = diagnose_general(oscillation_stats(series, 2.0), 1.0 / SQRT2)
+    diag = diagnose(oscillation_stats(series, 2.0), MODEL2, Z)
     assert diag.beta_sq == 0.0
     assert diag.corrected_value == diag.raw_average == pytest.approx(0.7)
 
@@ -202,27 +200,46 @@ def test_general_synthetic_recovery():
     offset = c * (1.0 - 2.0 * b_sq)
     amplitude = 2.0 * c * ab
     stats = oscillation_stats(cosine_series(amplitude, offset, theta=-0.7), 2.0)
-    diag = diagnose_general(stats, c)
+    diag = diagnose(stats, MODEL2, Z)
     assert diag.beta_sq == pytest.approx(b_sq, rel=1e-9)
     assert diag.corrected_value == pytest.approx(c, abs=1e-12)
 
 
-def test_general_rejects_zero_offset_scale():
-    stats = oscillation_stats(cosine_series(0.1, 0.0), 2.0)
-    with pytest.raises(ValueError, match="nonzero"):
-        diagnose_general(stats, 0.0)
-    # a numpy scalar, as the reference-pair elements are, prints as a plain float
-    with pytest.raises(ValueError, match=r"nonzero, got 0\.0$"):
-        diagnose_general(stats, np.float64(0.0))
+def test_zero_ground_element_subtracts_the_excited_offset():
+    # Z plus model1's excited-state projector: O_gg = 0, O_ee = 1, O_ge = 1, so
+    # the record beats around b^2 and the correction subtracts b^2*O_ee
+    observable = HermitianOperator(Z.matrix + np.array([[0.5, -0.5], [-0.5, 0.5]]), "Z+P")
+    b_sq = 0.01
+    ab = np.sqrt((1.0 - b_sq) * b_sq)
+    stats = oscillation_stats(cosine_series(2.0 * ab, b_sq, theta=0.6), 2.0)
+    diag = diagnose(stats, MODEL1, observable)
+    assert diag.beta_sq == pytest.approx(b_sq, rel=1e-9)
+    assert diag.raw_average == pytest.approx(b_sq, abs=1e-12)
+    assert diag.corrected_value == pytest.approx(0.0, abs=1e-12)
+    assert diag.reference_value == 0.0
+    assert diag.model_kind == "general"
+    assert diag.predicted_conserved is None
+
+
+def test_non_beating_observable_reports_no_weight():
+    # the excited-state projector has O_ge = 0: its record cannot beat, so
+    # even a variance that would mean weight >= 1/2 for a beating one gives 0
+    projector = HermitianOperator(np.array([[0.5, -0.5], [-0.5, 0.5]]), "P")
+    stats = oscillation_stats(cosine_series(1.0, 0.3), 2.0)
+    diag = diagnose(stats, MODEL1, projector)
+    assert diag.beta_sq == 0.0
+    assert diag.alpha_beta_sq == pytest.approx(0.25, abs=1e-15)
+    assert diag.corrected_value == diag.raw_average
+    assert diag.reference_value == 0.0
 
 
 def test_general_negative_offset_scale():
     # a conserved observable with <g|O|g> = -1: flat record, no correction
     series = TimeSeries(np.arange(65) * (np.pi / 32.0), np.full(65, -0.9998), None, None, 0, "-X")
-    diag = diagnose_general(oscillation_stats(series, 2.0), -1.0)
+    diag = diagnose(oscillation_stats(series, 2.0), MODEL1, observable_from_label("-X"))
     assert diag.beta_sq == 0.0
     assert diag.corrected_value == pytest.approx(-0.9998)
-    assert diag.reference_value == -1.0
+    assert diag.reference_value == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_mean_estimator_selection():
@@ -232,11 +249,11 @@ def test_mean_estimator_selection():
     values[3] += 0.05
     series = TimeSeries(t, values, None, None, 0, "Z")
     stats = oscillation_stats(series, 2.0)
-    minmax = diagnose_general(stats, 1.0 / SQRT2, mean_estimator="minmax")
-    arith = diagnose_general(stats, 1.0 / SQRT2, mean_estimator="arith")
+    minmax = diagnose(stats, MODEL2, Z, mean_estimator="minmax")
+    arith = diagnose(stats, MODEL2, Z, mean_estimator="arith")
     assert minmax.raw_average != pytest.approx(arith.raw_average, abs=1e-4)
     with pytest.raises(ValueError, match="mean_estimator"):
-        diagnose_general(stats, 1.0, mean_estimator="median")
+        diagnose(stats, MODEL2, Z, mean_estimator="median")
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,7 +265,9 @@ def test_mean_estimator_selection():
 def test_general_recovery_property(b_sq, theta, offset_scale):
     ab = np.sqrt((1.0 - b_sq) * b_sq)
     series = cosine_series(2.0 * offset_scale * ab, offset_scale * (1.0 - 2.0 * b_sq), theta=theta)
-    diag = diagnose_general(oscillation_stats(series, 2.0), offset_scale)
+    # scaled so that on model2's reference pair O_gg = offset_scale = -O_ee = |O_ge|
+    observable = HermitianOperator(offset_scale * SQRT2 * Z.matrix, "Z")
+    diag = diagnose(oscillation_stats(series, 2.0), MODEL2, observable)
     assert diag.beta_sq == pytest.approx(b_sq, rel=1e-6, abs=1e-12)
     assert diag.corrected_value == pytest.approx(offset_scale, rel=1e-9)
 
@@ -365,3 +384,34 @@ def test_every_observable_gets_a_prediction_that_matches_its_record(preset, over
         predicted = result.predictions[label]
         np.testing.assert_array_equal(predicted.times, series.times)
         assert np.max(np.abs(predicted.exact_values - series.exact_values)) <= 1e-13, label
+
+
+RECOVERY_SPECS = {
+    "model1": MODEL1,
+    "model2": MODEL2,
+    "inline-3x3": config_from_dict({**preset_dict("fig1a"), **THREE_LEVEL}).build_model(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(sorted(RECOVERY_SPECS)),
+    seed=st.integers(0, 2**32 - 1),
+    b_sq=st.floats(1e-6, 0.2),
+    theta=st.floats(-3.1, 3.1),
+)
+def test_diagnose_recovers_the_weight_for_any_observable(model, seed, b_sq, theta):
+    # a random Hermitian observable's two-level record, over whole periods,
+    # gives back the weight and the ground-state value O_gg
+    spec = RECOVERY_SPECS[model]
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
+    observable = HermitianOperator((m + m.conj().T) / 2.0, "O")
+    decomposition = ResidualDecomposition(np.sqrt(1.0 - b_sq), np.sqrt(b_sq), theta, b_sq)
+    omega = spec.oscillation_angular_frequency()
+    times = np.arange(4 * 32 + 1) * (2.0 * np.pi / omega / 32)
+    series = predicted_series(decomposition, spec, times, observable)
+    diag = diagnose(oscillation_stats(series, omega), spec, observable)
+    g = spec.reference_ground_state
+    assert diag.beta_sq == pytest.approx(b_sq, rel=1e-9)
+    assert diag.corrected_value == pytest.approx(np.vdot(g, observable.matrix @ g).real, rel=1e-9, abs=1e-9)

@@ -328,7 +328,7 @@ def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
 
 def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):
     # D's reference-pair block is model1's Z, but <g|D|g> = <e|D|e> is rounding
-    # (-2.2e-17), which the general case used to divide by and exit 3
+    # (-2.2e-17), which must count as zero
     grid = {"coupling": 1.0, "total_time": 18.0, "step_width": 0.125,
             "hold_duration": 12.0, "sample_dt": 0.0625, "shots": 0, "seed": 5}
     inline = {
@@ -353,28 +353,31 @@ def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):
         assert inline_diag[key] == pytest.approx(flip_diag[key], rel=1e-12), key
 
 
-def test_cli_rejects_an_anticommuting_observable_without_unit_element(tmp_path, capsys):
+def test_cli_reads_the_weight_of_a_scaled_anticommuting_observable(tmp_path):
     # 2Z is off-diagonal on model1's reference pair with |<g|O|e>| = 2; the
-    # anticommuting case assumes 1 and used to report 4x the weight
-    observables = 'observables=[{"label":"Z2","matrix":[[2,0],[0,-2]]}]'
-    args = ["run", "--preset", "fig1a", "--set", "shots=0", "--set", observables]
-    assert run_cli([*args, "--out", str(tmp_path / "z2")]) == 3
-    err = capsys.readouterr().err
-    assert "observable 'Z2'" in err
-    assert "|<g|O|e>| = 1.9999999999999996;" in err
-    assert "np.float64" not in err
+    # variance is divided by |O_ge|^2, so it reads Z's weight to the bit
+    diagnoses = {}
+    for label, s in (("Z", 1), ("Z2", 2)):
+        observables = f'observables=[{{"label":"{label}","matrix":[[{s},0],[0,{-s}]]}}]'
+        args = ["run", "--preset", "fig1a", "--set", "shots=0", "--set", observables]
+        assert run_cli([*args, "--out", str(tmp_path / label)]) == 0
+        summary = json.loads((tmp_path / label / "summary.json").read_text())
+        diagnoses[label] = summary["observables"][label]["diagnosis_exact"]
+    assert diagnoses["Z2"]["model_kind"] == "anticommuting"
+    assert diagnoses["Z2"]["beta_sq"] == diagnoses["Z"]["beta_sq"]
 
 
-def test_cli_names_an_observable_with_zero_ground_element(tmp_path, capsys):
-    # the excited-state projector on fig1a has O_gg = 0 but O_ee = 1, so the
-    # general case has no average to correct around; the message used to name
-    # only a library parameter
+def test_cli_reports_no_weight_for_a_non_beating_observable(tmp_path):
+    # the excited-state projector on fig1a has O_gg = 0, O_ee = 1 and O_ge = 0:
+    # its record cannot beat, so it reports no weight and no correction
     observables = 'observables=[{"label":"P","matrix":[[0.5,-0.5],[-0.5,0.5]]}]'
     args = ["run", "--preset", "fig1a", "--set", "shots=0", "--set", observables]
-    assert run_cli([*args, "--out", str(tmp_path / "p")]) == 3
-    err = capsys.readouterr().err
-    assert "observable 'P' has <g|O|g> = 0.0 and <e|O|e> = 0.9999999999999998" in err
-    assert "np.float64" not in err
+    assert run_cli([*args, "--out", str(tmp_path / "p")]) == 0
+    summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+    diag = summary["observables"]["P"]["diagnosis_exact"]
+    assert diag["beta_sq"] == 0.0
+    assert diag["corrected_value"] == diag["raw_average"]
+    assert diag["reference_value"] == 0.0
 
 
 def test_cli_rejects_an_inline_model_whose_hermitian_part_overflows(tmp_path, capsys):

@@ -11,7 +11,6 @@ from adiaprep.measure import (
     _sample_means,
     heisenberg_z_closed_form,
     hold_series,
-    sample_expectation,
 )
 from adiaprep.model import (
     AdiabaticSchedule,
@@ -24,40 +23,6 @@ from adiaprep.model import (
 )
 
 SQRT2 = np.sqrt(2.0)
-KET0 = np.array([1.0, 0.0], dtype=complex)
-PLUS = np.array([1.0, 1.0], dtype=complex) / SQRT2
-
-
-def test_sample_expectation_eigenstate_is_exact():
-    sampler = ShotSampler(3)
-    assert sample_expectation(KET0, pauli("Z"), 1000, sampler) == 1.0
-
-
-def test_sample_expectation_is_deterministic_per_seed():
-    a = sample_expectation(PLUS, pauli("Z"), 10_000, ShotSampler(42))
-    b = sample_expectation(PLUS, pauli("Z"), 10_000, ShotSampler(42))
-    c = sample_expectation(PLUS, pauli("Z"), 10_000, ShotSampler(43))
-    assert a == b
-    assert a != c
-
-
-def test_sample_expectation_repeats_on_one_sampler():
-    # each call draws from the label's stream afresh, as hold_series does
-    sampler = ShotSampler(1)
-    assert sample_expectation(PLUS, pauli("Z"), 1000, sampler) == sample_expectation(
-        PLUS, pauli("Z"), 1000, sampler
-    )
-
-
-def test_sample_expectation_concentrates_with_shots():
-    # the 1e6-shot estimate of <Z> = 0 should sit within a few sigma
-    value = sample_expectation(PLUS, pauli("Z"), 1_000_000, ShotSampler(7))
-    assert abs(value) < 5e-3
-
-
-def test_sample_expectation_rejects_zero_shots():
-    with pytest.raises(ValueError, match="shots"):
-        sample_expectation(PLUS, pauli("Z"), 0, ShotSampler(1))
 
 
 def _random_hermitian(rng, dim):
@@ -207,6 +172,26 @@ def test_hold_series_sampling_is_deterministic():
     _, c = hold_fixture(shots=1000, seed=10)
     assert np.array_equal(a.sampled_values, b.sampled_values)
     assert not np.array_equal(a.sampled_values, c.sampled_values)
+    # each call draws from the label's stream afresh, so one sampler repeats
+    spec = model_one(1.0)
+    psi = superposition_state(spec, 0.2, 0.3)
+    sampler = ShotSampler(1)
+    first, second = (
+        hold_series(psi, spec, pauli("Z"), 1.0, 0.1, 1000, sampler).sampled_values for _ in range(2)
+    )
+    assert np.array_equal(first, second)
+
+
+def test_hold_series_samples_an_eigenstate_exactly():
+    # the ground state of model1's target is an eigenstate of the conserved -X
+    spec = model_one(1.0)
+    series = hold_series(
+        spec.reference_ground_state, spec, observable_from_label("-X"), 2.0, 0.1, 1000, ShotSampler(3)
+    )
+    # every shot lands on the one eigenvalue, up to the eigensolve's rounding
+    assert np.all(series.sampled_values == series.sampled_values[0])
+    assert series.sampled_values[0] == pytest.approx(-1.0, abs=1e-15)
+    assert np.all(series.stderr_values == 0.0)
 
 
 def _three_level_spec():

@@ -15,9 +15,10 @@ UNUSED_STDLIB = ("urllib.request", "http", "email", "ssl", "socket", "xml")
 
 # removed helpers and options; none may come back as an export or attribute
 REMOVED = {
+    "analyze": ("diagnose_anticommuting", "diagnose_general"),
     "linalg": ("apply", "hermiticity_defect"),
     "evolve": ("evolve_exact", "trotter2_step", "exact_midpoint_step"),
-    "measure": ("shot_std", "expectation"),
+    "measure": ("shot_std", "expectation", "sample_expectation"),
     "model": ("hamiltonian_at", "spectral_gap_at"),
 }
 
