@@ -172,6 +172,9 @@ def test_hold_series_sampling_is_deterministic():
     _, c = hold_fixture(shots=1000, seed=10)
     assert np.array_equal(a.sampled_values, b.sampled_values)
     assert not np.array_equal(a.sampled_values, c.sampled_values)
+
+
+def test_hold_series_repeats_on_one_sampler():
     # each call draws from the label's stream afresh, so one sampler repeats
     spec = model_one(1.0)
     psi = superposition_state(spec, 0.2, 0.3)
