@@ -24,10 +24,9 @@ from .evolve import (
     decompose,
     initial_state,
     run_adiabatic,
-    superposition_state,
 )
-from .linalg import EigenSystem, eig_hermitian, expm_minus_i
-from .measure import ShotSampler, TimeSeries, heisenberg_z_closed_form, hold_series
+from .linalg import EigenSystem, eig_hermitian
+from .measure import TimeSeries, hold_series
 from .model import (
     AdiabaticSchedule,
     HermitianOperator,
@@ -54,14 +53,11 @@ __all__ = [
     "PRESETS",
     "ResidualDecomposition",
     "RunResult",
-    "ShotSampler",
     "TimeSeries",
     "VacuumDiagnosis",
     "decompose",
     "diagnose",
     "eig_hermitian",
-    "expm_minus_i",
-    "heisenberg_z_closed_form",
     "hold_series",
     "initial_state",
     "model_one",
@@ -74,6 +70,5 @@ __all__ = [
     "run_adiabatic",
     "run_and_write",
     "run_experiment",
-    "superposition_state",
     "sweep",
 ]

@@ -169,9 +169,9 @@ class ExperimentConfig:
             f"must exceed half a sample_dt of {self.sample_dt_resolved!r} (got {self.hold_duration!r})",
         )
         _require(
-            isinstance(self.shots, int) and not isinstance(self.shots, bool) and self.shots >= 0,
+            isinstance(self.shots, int) and not isinstance(self.shots, bool) and 0 <= self.shots < 2**63,
             "shots",
-            f"must be an integer >= 0 (got {self.shots!r})",
+            f"must be an integer in [0, 2^63) (got {self.shots!r})",
         )
         _require(
             isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64,

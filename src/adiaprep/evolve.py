@@ -26,7 +26,6 @@ __all__ = [
     "decompose",
     "initial_state",
     "run_adiabatic",
-    "superposition_state",
 ]
 
 INTEGRATORS = ("trotter2", "exact-midpoint")
@@ -115,17 +114,6 @@ def run_adiabatic(
     if not drift <= 1e-9:
         raise ArithmeticError(f"state norm drifted by {drift:.3e} during the ramp")
     return v
-
-
-def superposition_state(spec: ModelSpec, beta_mod: float, theta: float = 0.0) -> np.ndarray:
-    """Build sqrt(1-b^2)*|g> + b*e^{-i*theta}*|e>; decompose() recovers (b, theta)."""
-    if not 0.0 <= beta_mod <= 1.0:
-        raise ValueError(f"beta_mod must lie in [0, 1], got {beta_mod!r}")
-    alpha = np.sqrt(1.0 - beta_mod**2)
-    return (
-        alpha * spec.reference_ground_state
-        + beta_mod * np.exp(-1.0j * theta) * spec.reference_excited_state
-    )
 
 
 def decompose(v: np.ndarray, spec: ModelSpec) -> ResidualDecomposition:

@@ -22,8 +22,8 @@ n=2, the dimension of every built-in model, goes to _hermitian_part2 and
 _jacobi2: the same check, sweeps, rotations and canonical form written out
 on scalars. They must return the bits of the general code, signed zeros and
 exception text included; tests compare them on more than 20,000 matrices.
-A 2x2 call costs about 13 us. The ramp applies eigensystems itself;
-expm_minus_i remains as an independent propagator.
+A 2x2 call costs about 13 us. The ramp and the hold apply eigensystems
+themselves.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "as_complex_matrix",
     "as_state_vector",
     "eig_hermitian",
-    "expm_minus_i",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -160,10 +159,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _offdiag_norm(a: list[list[complex]]) -> float:
@@ -348,13 +343,3 @@ def eig_hermitian(m) -> EigenSystem:
     if len(rows) == 2:
         return _jacobi2(*_hermitian_part2(rows, HERMITICITY_TOL))
     return _jacobi(*_hermitian_part(rows, HERMITICITY_TOL))
-
-
-def expm_minus_i(m, t: float) -> np.ndarray:
-    """Unitary exp(-i*m*t) for Hermitian m, via the eigendecomposition."""
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
-    es = eig_hermitian(m)
-    v = es.eigenvectors
-    return (v * np.exp(es.eigenvalues * (-1j * t))) @ v.conj().T
-

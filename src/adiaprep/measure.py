@@ -15,33 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EigenSystem, as_state_vector, eig_hermitian
-from .model import HermitianOperator, ModelSpec, pauli
+from .model import HermitianOperator, ModelSpec
 
-__all__ = [
-    "ShotSampler",
-    "TimeSeries",
-    "heisenberg_z_closed_form",
-    "hold_series",
-]
+__all__ = ["TimeSeries", "hold_series"]
 
 _SEED_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class ShotSampler:
-    """Deterministic pseudorandom source for measurement sampling.
-
-    Each observable label gets its own child stream derived from
-    (seed, crc32(label)), so adding an observable or reordering them does
-    not disturb the shots drawn for the others, and every draw for a label
-    starts that stream afresh.
-    """
-
-    seed: int
-
-    def spawn(self, label: str) -> np.random.Generator:
-        digest = zlib.crc32(label.encode("utf-8"))
-        return np.random.default_rng(np.random.SeedSequence([self.seed & _SEED_MASK, digest]))
+def _shot_stream(seed: int, label: str) -> np.random.Generator:
+    """The shot stream of one observable: seeded by (seed, crc32(label)), so
+    adding an observable or reordering them does not disturb the shots drawn
+    for the others, and every draw for a label starts its stream afresh."""
+    digest = zlib.crc32(label.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, digest]))
 
 
 def _residue_tolerance(m: np.ndarray) -> float:
@@ -132,14 +118,14 @@ def hold_series(
     duration: float,
     sample_dt: float,
     shots: int,
-    sampler: ShotSampler,
+    seed: int,
 ) -> TimeSeries:
     """Hold v_end under the constant target and record the observable.
 
     The state is propagated exactly in the target's eigenbasis. shots = 0
     records exact values only; otherwise each grid point also gets an
     average of `shots` projective measurements and its standard error, drawn
-    from the sampler stream belonging to the observable's label.
+    from the shot stream that seed gives the observable's label.
     """
     if not (np.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive, got {duration!r}")
@@ -167,7 +153,7 @@ def hold_series(
     sampled = stderr = None
     if shots > 0:
         o_es = eig_hermitian(observable.matrix)
-        sampled, stderr = _sample_means(states, o_es, shots, sampler.spawn(observable.label))
+        sampled, stderr = _sample_means(states, o_es, shots, _shot_stream(seed, observable.label))
 
     return TimeSeries(
         times=times,
@@ -177,23 +163,3 @@ def hold_series(
         shots_per_point=int(shots),
         observable_label=observable.label,
     )
-
-
-def heisenberg_z_closed_form(t: float, coupling: float) -> HermitianOperator:
-    """Z carried to hold time t by the Hadamard-type target with coupling J.
-
-    Closed form: (1/sqrt(2))*H - (1/sqrt(2))*Y*sin(2Jt) + (1/2)*(Z-X)*cos(2Jt),
-    equal to exp(+i*H_T*t) Z exp(-i*H_T*t) for H_T = -J*H.
-    """
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    if not (np.isfinite(coupling) and coupling > 0.0):
-        raise ValueError(f"coupling must be positive, got {coupling!r}")
-    sqrt2 = np.sqrt(2.0)
-    angle = 2.0 * coupling * t
-    m = (
-        pauli("H").matrix / sqrt2
-        - pauli("Y").matrix * (np.sin(angle) / sqrt2)
-        + (pauli("Z").matrix - pauli("X").matrix) * (0.5 * np.cos(angle))
-    )
-    return HermitianOperator(m, f"Z(t={t:.12g})")

@@ -7,7 +7,6 @@ a Hadamard-type target (-J*H) whose ground state is not a Pauli eigenstate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +91,9 @@ class AdiabaticSchedule:
                 f"step_width {self.step_width} exceeds twice the total time {self.total_time}"
             )
         if abs(ratio - n) > 1e-9:
-            warnings.warn(
-                f"total_time/step_width = {ratio!r} is not an integer; "
-                f"running {n} steps covering {n * self.step_width!r}",
-                stacklevel=2,
+            raise ValueError(
+                f"step_width {self.step_width!r} does not divide total_time "
+                f"{self.total_time!r} (ratio {ratio!r})"
             )
 
     @property
@@ -186,13 +184,6 @@ class ModelSpec:
         if self.kind in BUILTIN_MODELS:
             return 2.0 * self.coupling
         return self.excited_energy - self.ground_energy
-
-    def observable(self, label: str) -> HermitianOperator:
-        for o in self.observables:
-            if o.label == label:
-                return o
-        known = ", ".join(o.label for o in self.observables)
-        raise KeyError(f"no observable {label!r}; have: {known}")
 
 
 def model_one(coupling: float) -> ModelSpec:

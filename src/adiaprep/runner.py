@@ -16,7 +16,7 @@ import numpy as np
 from .analyze import diagnose, oscillation_stats, predicted_series
 from .config import ConfigError, ExperimentConfig, _artifact_name
 from .evolve import decompose, run_adiabatic
-from .measure import ShotSampler, TimeSeries, hold_series
+from .measure import TimeSeries, hold_series
 from .model import AdiabaticSchedule, ModelSpec
 from .svgplot import line_plot
 
@@ -61,7 +61,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg.validate()
     spec = cfg.build_model()
     schedule = cfg.build_schedule()
-    sampler = ShotSampler(cfg.seed)
 
     prepared = run_adiabatic(spec, schedule, cfg.integrator)
     decomposition = decompose(prepared, spec)
@@ -80,7 +79,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             cfg.hold_duration,
             cfg.sample_dt_resolved,
             cfg.shots,
-            sampler,
+            cfg.seed,
         )
         series_map[observable.label] = series
 

@@ -12,11 +12,12 @@ import pytest
 
 from adiaprep.analyze import diagnose, oscillation_stats
 from adiaprep.config import PRESETS, config_from_dict
-from adiaprep.evolve import run_adiabatic, superposition_state
-from adiaprep.linalg import expm_minus_i
-from adiaprep.measure import ShotSampler, TimeSeries, heisenberg_z_closed_form, hold_series
+from adiaprep.evolve import run_adiabatic
+from adiaprep.measure import TimeSeries, hold_series
 from adiaprep.model import AdiabaticSchedule, model_one, model_two, pauli
 from adiaprep.runner import run_and_write, run_experiment
+
+from _oracles import expm_minus_i, heisenberg_z_closed_form, superposition_state
 
 
 @pytest.fixture
@@ -60,7 +61,7 @@ def test_criterion_2_closed_form_hold_series(report):
             theta = rng.uniform(-np.pi, np.pi)
             v = superposition_state(spec, np.sqrt(beta_sq), theta)
             series = hold_series(
-                v, spec, spec.observable("Z"), 2.0 * period, sample_dt, 0, ShotSampler(0)
+                v, spec, pauli("Z"), 2.0 * period, sample_dt, 0, 0
             )
             ab = np.sqrt(beta_sq * (1.0 - beta_sq))
             beat = np.cos(2.0 * j * series.times + theta)
@@ -136,7 +137,7 @@ def test_criterion_6_recovery_oracle(report):
     rng = np.random.default_rng(99)
     c = 1.0 / np.sqrt(2.0)
     spec = model_two(np.pi / 4.0)
-    z = spec.observable("Z")
+    z = pauli("Z")
     per_period = 32
     worst = 0.0
     for _ in range(1000):
@@ -164,10 +165,10 @@ def test_criterion_6_recovery_oracle(report):
 def test_criterion_7_shot_noise_scaling(report):
     spec = model_one(1.0)
     plus = spec.reference_ground_state
-    z = spec.observable("Z")
+    z = pauli("Z")
     # the first point of a two-point hold record is the prepared state itself
     estimates = [
-        hold_series(plus, spec, z, 0.1, 0.1, 1_000_000, ShotSampler(seed)).sampled_values[0]
+        hold_series(plus, spec, z, 0.1, 0.1, 1_000_000, seed).sampled_values[0]
         for seed in range(100)
     ]
     std = float(np.std(estimates, ddof=1))

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from adiaprep.analyze import OscillationStats, diagnose, oscillation_stats, predicted_series
 from adiaprep.config import config_from_dict, preset_dict
-from adiaprep.evolve import ResidualDecomposition, decompose, superposition_state
-from adiaprep.measure import ShotSampler, TimeSeries, hold_series
+from adiaprep.evolve import ResidualDecomposition, decompose
+from adiaprep.measure import TimeSeries, hold_series
 from adiaprep.model import HermitianOperator, model_one, model_two, observable_from_label, pauli
 from adiaprep.runner import run_experiment
+
+from _oracles import superposition_state
 
 SQRT2 = np.sqrt(2.0)
 
@@ -309,7 +311,7 @@ def test_predicted_series_matches_hold_record():
         psi = superposition_state(spec, 0.12, 0.9)
         for label in ("Z", "-X", "Y"):
             observable = observable_from_label(label)
-            series = hold_series(psi, spec, observable, 8.0, 0.125, 0, ShotSampler(0))
+            series = hold_series(psi, spec, observable, 8.0, 0.125, 0, 0)
             predicted = predicted_series(decompose(psi, spec), spec, series.times, observable)
             assert np.max(np.abs(predicted.exact_values - series.exact_values)) < 1e-13
 

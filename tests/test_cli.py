@@ -117,6 +117,35 @@ def test_cli_rejects_a_hold_shorter_than_one_sample_interval(verb, tmp_path, cap
     assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=31.9"]) == 0
 
 
+def test_cli_rejects_shots_past_the_sampler_range(tmp_path, capsys):
+    # a shot count is drawn as a C long, so 2^63 would fail only at run time
+    too_many = str(2**63)
+    for args in (
+        ["run", "--preset", "fig2", "--set", f"shots={too_many}"],
+        ["sweep", "--preset", "fig2", "--parameter", "shots", "--values", too_many],
+    ):
+        assert run_cli(args + ["--out", str(tmp_path / "out")]) == 2, args[0]
+        assert "config field 'shots': must be an integer in [0, 2^63)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    assert run_cli(["validate", "--preset", "fig2", "--set", f"shots={2**63 - 1}"]) == 0
+
+
+def test_cli_rejects_a_step_width_that_does_not_divide_the_ramp(tmp_path, capsys):
+    # a rounded step count would ramp 35.98 of 36 and compare it with a
+    # reference over 35.9997
+    message = "step_width 0.07 does not divide total_time 36.0"
+    assert run_cli(["validate", "--preset", "fig2", "--set", "step_width=0.07"]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "sweep"
+    code = run_cli(
+        ["sweep", "--preset", "fig2", "--parameter", "dt", "--values", "0.07",
+         "--set", "shots=0", "--out", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep_dt.csv").exists()
+
+
 def test_cli_validate_rejects_unknown_preset(capsys):
     assert run_cli(["validate", "--preset", "fig9"]) == 2
     err = capsys.readouterr().err

@@ -9,10 +9,10 @@ from adiaprep.evolve import (
     decompose,
     initial_state,
     run_adiabatic,
-    superposition_state,
 )
-from adiaprep.linalg import eig_hermitian, expm_minus_i
 from adiaprep.model import AdiabaticSchedule, HermitianOperator, ModelSpec, model_one, model_two, pauli
+
+from _oracles import expm_minus_i, superposition_state
 
 SQRT2 = np.sqrt(2.0)
 
@@ -253,9 +253,3 @@ def test_residual_decomposition_validates_weights():
         ResidualDecomposition(alpha_mod=1.0, beta_mod=0.5, theta=0.0, beta_sq=0.25)
     with pytest.raises(ValueError, match="theta"):
         ResidualDecomposition(alpha_mod=1.0, beta_mod=0.0, theta=7.0, beta_sq=0.0)
-
-
-def test_superposition_state_validates_weight():
-    spec = model_one(1.0)
-    with pytest.raises(ValueError, match="beta_mod"):
-        superposition_state(spec, 1.5)

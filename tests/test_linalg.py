@@ -4,14 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from adiaprep import evolve, linalg
 from adiaprep.evolve import run_adiabatic
-from adiaprep.linalg import (
-    EigenSystem,
-    as_complex_matrix,
-    as_state_vector,
-    eig_hermitian,
-    expm_minus_i,
-)
+from adiaprep.linalg import EigenSystem, as_complex_matrix, as_state_vector, eig_hermitian
 from adiaprep.model import AdiabaticSchedule, model_one, model_two
+
+from _oracles import expm_minus_i
 
 SQRT2 = np.sqrt(2.0)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -257,11 +253,6 @@ def test_expm_preserves_norm():
     assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
 
-def test_expm_rejects_non_finite_time():
-    with pytest.raises(ValueError, match="finite"):
-        expm_minus_i(Z, np.inf)
-
-
 def test_as_complex_matrix_rejects_bad_shapes_and_nans():
     with pytest.raises(ValueError, match="square"):
         as_complex_matrix(np.zeros((2, 3)))
@@ -281,7 +272,7 @@ def test_as_state_vector_norm_check():
 def test_eigensystem_dim():
     es = eig_hermitian(Z)
     assert isinstance(es, EigenSystem)
-    assert es.dim == 2
+    assert es.eigenvalues.shape == (2,) and es.eigenvectors.shape == (2, 2)
 
 
 def _kernel_outcome(kernel, h, scale):

@@ -3,15 +3,9 @@ import types
 import numpy as np
 import pytest
 
-from adiaprep.evolve import run_adiabatic, superposition_state
-from adiaprep.linalg import eig_hermitian, expm_minus_i
-from adiaprep.measure import (
-    ShotSampler,
-    TimeSeries,
-    _sample_means,
-    heisenberg_z_closed_form,
-    hold_series,
-)
+from adiaprep.evolve import run_adiabatic
+from adiaprep.linalg import eig_hermitian
+from adiaprep.measure import TimeSeries, _sample_means, _shot_stream, hold_series
 from adiaprep.model import (
     AdiabaticSchedule,
     HermitianOperator,
@@ -21,6 +15,8 @@ from adiaprep.model import (
     observable_from_label,
     pauli,
 )
+
+from _oracles import expm_minus_i, heisenberg_z_closed_form, superposition_state
 
 SQRT2 = np.sqrt(2.0)
 
@@ -61,10 +57,9 @@ def test_sample_means_stack_draws_row_by_row_from_one_stream():
 
 
 def test_sampler_streams_differ_by_label():
-    sampler = ShotSampler(123)
-    a = sampler.spawn("Z").integers(0, 1 << 30, size=4)
-    b = sampler.spawn("-X").integers(0, 1 << 30, size=4)
-    c = sampler.spawn("Z").integers(0, 1 << 30, size=4)
+    a = _shot_stream(123, "Z").integers(0, 1 << 30, size=4)
+    b = _shot_stream(123, "-X").integers(0, 1 << 30, size=4)
+    c = _shot_stream(123, "Z").integers(0, 1 << 30, size=4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
 
@@ -87,7 +82,7 @@ def hold_fixture(shots=0, seed=5):
     spec = model_one(1.0)
     psi = superposition_state(spec, 0.2, 0.3)
     series = hold_series(
-        psi, spec, pauli("Z"), 4.0 * np.pi, np.pi / 32.0, shots, ShotSampler(seed)
+        psi, spec, pauli("Z"), 4.0 * np.pi, np.pi / 32.0, shots, seed
     )
     return spec, series
 
@@ -104,7 +99,7 @@ def test_hold_series_grid():
 def test_hold_series_ground_state_is_flat():
     spec = model_one(1.0)
     series = hold_series(
-        spec.reference_ground_state, spec, pauli("Z"), 2.0, 0.1, 0, ShotSampler(0)
+        spec.reference_ground_state, spec, pauli("Z"), 2.0, 0.1, 0, 0
     )
     assert np.max(np.abs(series.exact_values)) < 1e-13
 
@@ -114,7 +109,7 @@ def test_hold_series_matches_two_level_cosine():
     spec = model_one(1.0)
     b, theta = 0.11, -0.9
     psi = superposition_state(spec, b, theta)
-    series = hold_series(psi, spec, pauli("Z"), 4.0, 0.05, 0, ShotSampler(0))
+    series = hold_series(psi, spec, pauli("Z"), 4.0, 0.05, 0, 0)
     ab = np.sqrt(1.0 - b * b) * b
     expected = 2.0 * ab * np.cos(2.0 * series.times + theta)
     assert np.max(np.abs(series.exact_values - expected)) < 1e-12
@@ -125,7 +120,7 @@ def test_hold_series_offset_cosine_for_hadamard_model():
     spec = model_two(np.pi / 4.0)
     b, theta = 0.09, 1.2
     psi = superposition_state(spec, b, theta)
-    series = hold_series(psi, spec, pauli("Z"), 8.0, 1.0 / 24.0, 0, ShotSampler(0))
+    series = hold_series(psi, spec, pauli("Z"), 8.0, 1.0 / 24.0, 0, 0)
     ab = np.sqrt(1.0 - b * b) * b
     expected = (1.0 - 2.0 * b * b) / SQRT2 + SQRT2 * ab * np.cos(
         np.pi / 2.0 * series.times + theta
@@ -137,7 +132,7 @@ def test_hold_series_conserved_observable_is_constant():
     spec, _ = hold_fixture()
     psi = superposition_state(spec, 0.2, 0.3)
     series = hold_series(
-        psi, spec, observable_from_label("-X"), 4.0 * np.pi, np.pi / 32.0, 0, ShotSampler(0)
+        psi, spec, observable_from_label("-X"), 4.0 * np.pi, np.pi / 32.0, 0, 0
     )
     assert np.max(series.exact_values) - np.min(series.exact_values) < 1e-12
     assert series.exact_values[0] == pytest.approx(-1.0 + 2.0 * 0.04, abs=1e-12)
@@ -175,12 +170,11 @@ def test_hold_series_sampling_is_deterministic():
 
 
 def test_hold_series_repeats_on_one_sampler():
-    # each call draws from the label's stream afresh, so one sampler repeats
+    # each call draws from the label's stream afresh, so one seed repeats
     spec = model_one(1.0)
     psi = superposition_state(spec, 0.2, 0.3)
-    sampler = ShotSampler(1)
     first, second = (
-        hold_series(psi, spec, pauli("Z"), 1.0, 0.1, 1000, sampler).sampled_values for _ in range(2)
+        hold_series(psi, spec, pauli("Z"), 1.0, 0.1, 1000, 1).sampled_values for _ in range(2)
     )
     assert np.array_equal(first, second)
 
@@ -189,7 +183,7 @@ def test_hold_series_samples_an_eigenstate_exactly():
     # the ground state of model1's target is an eigenstate of the conserved -X
     spec = model_one(1.0)
     series = hold_series(
-        spec.reference_ground_state, spec, observable_from_label("-X"), 2.0, 0.1, 1000, ShotSampler(3)
+        spec.reference_ground_state, spec, observable_from_label("-X"), 2.0, 0.1, 1000, 3
     )
     # every shot lands on the one eigenvalue, up to the eigensolve's rounding
     assert np.all(series.sampled_values == series.sampled_values[0])
@@ -223,7 +217,7 @@ def test_hold_series_exact_channel_matches_propagator_at_every_point():
     o3 = HermitianOperator(_random_hermitian(rng, 3), "O")
     cases.append((_three_level_spec(), psi / np.linalg.norm(psi), o3))
     for spec, v, o in cases:
-        series = hold_series(v, spec, o, 6.0, 0.125, 0, ShotSampler(0))
+        series = hold_series(v, spec, o, 6.0, 0.125, 0, 0)
         es = eig_hermitian(spec.target.matrix)
         coeff = es.eigenvectors.conj().T @ v
         for k, t in enumerate(series.times):
@@ -242,21 +236,20 @@ def test_hold_series_rejects_imaginary_residue():
     )
     psi = superposition_state(spec, 0.2, 0.3)
     with pytest.raises(ArithmeticError, match="imaginary residue"):
-        hold_series(psi, spec, non_hermitian, 1.0, 0.1, 0, ShotSampler(0))
+        hold_series(psi, spec, non_hermitian, 1.0, 0.1, 0, 0)
 
 
 def test_hold_series_validation():
     spec = model_one(1.0)
     psi = spec.reference_ground_state
-    sampler = ShotSampler(0)
     with pytest.raises(ValueError, match="duration"):
-        hold_series(psi, spec, pauli("Z"), 0.0, 0.1, 0, sampler)
+        hold_series(psi, spec, pauli("Z"), 0.0, 0.1, 0, 0)
     with pytest.raises(ValueError, match="sample_dt"):
-        hold_series(psi, spec, pauli("Z"), 1.0, -0.1, 0, sampler)
+        hold_series(psi, spec, pauli("Z"), 1.0, -0.1, 0, 0)
     with pytest.raises(ValueError, match="shots"):
-        hold_series(psi, spec, pauli("Z"), 1.0, 0.1, -1, sampler)
+        hold_series(psi, spec, pauli("Z"), 1.0, 0.1, -1, 0)
     with pytest.raises(ValueError, match="shorter than one sample interval"):
-        hold_series(psi, spec, pauli("Z"), 0.04, 0.1, 0, sampler)
+        hold_series(psi, spec, pauli("Z"), 0.04, 0.1, 0, 0)
 
 
 def test_heisenberg_z_closed_form_at_zero_is_z():
@@ -280,7 +273,7 @@ def test_heisenberg_form_reproduces_hold_record_from_initial_state():
     # Schrodinger and Heisenberg pictures must give the same record
     spec = model_two(np.pi / 4.0)
     psi = run_adiabatic(spec, AdiabaticSchedule(9.0, 1.0 / 24.0))
-    series = hold_series(psi, spec, pauli("Z"), 4.0, 0.25, 0, ShotSampler(0))
+    series = hold_series(psi, spec, pauli("Z"), 4.0, 0.25, 0, 0)
     for k, t in enumerate(series.times):
         z_t = heisenberg_z_closed_form(t, np.pi / 4.0).matrix
         heisenberg = np.vdot(psi, z_t @ psi).real

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -154,12 +152,13 @@ def test_schedule_step_counts():
     assert single.num_steps == 1
 
 
-def test_schedule_warns_when_step_does_not_divide():
-    with pytest.warns(UserWarning, match="not an integer"):
+def test_schedule_rejects_a_step_that_does_not_divide():
+    # a rounded step count would ramp over a different length than total_time
+    with pytest.raises(ValueError, match=r"step_width 0\.3 does not divide total_time 1\.0"):
         AdiabaticSchedule(1.0, 0.3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        AdiabaticSchedule(36.0, 0.125)
+    with pytest.raises(ValueError, match=r"step_width 0\.07 does not divide total_time 36\.0"):
+        AdiabaticSchedule(36.0, 0.07)
+    assert AdiabaticSchedule(36.0, 0.125).num_steps == 288
 
 
 def test_schedule_ramp_parameter_clips():

@@ -13,17 +13,33 @@ MODULES = ("analyze", "config", "evolve", "linalg", "measure", "model", "runner"
 # standard-library packages that importing the package must not load
 UNUSED_STDLIB = ("urllib.request", "http", "email", "ssl", "socket", "xml")
 
+# the whole public surface: what the ramp -> hold -> diagnose pipeline and
+# the CLI use, and nothing only the tests call
+EXPORTS = {
+    "AdiabaticSchedule", "ConfigError", "EigenSystem", "ExperimentConfig",
+    "HermitianOperator", "INTEGRATORS", "ModelSpec", "OscillationStats",
+    "OutputOptions", "PRESETS", "ResidualDecomposition", "RunResult",
+    "TimeSeries", "VacuumDiagnosis", "decompose", "diagnose", "eig_hermitian",
+    "hold_series", "initial_state", "model_one", "model_two",
+    "observable_from_label", "oscillation_stats", "pauli", "predicted_series",
+    "preset_config", "run_adiabatic", "run_and_write", "run_experiment", "sweep",
+}
+
 # removed helpers and options; none may come back as an export or attribute
 REMOVED = {
     "analyze": ("diagnose_anticommuting", "diagnose_general"),
-    "linalg": ("apply", "hermiticity_defect"),
-    "evolve": ("evolve_exact", "trotter2_step", "exact_midpoint_step"),
-    "measure": ("shot_std", "expectation", "sample_expectation"),
+    "linalg": ("apply", "hermiticity_defect", "expm_minus_i"),
+    "evolve": ("evolve_exact", "trotter2_step", "exact_midpoint_step", "superposition_state"),
+    "measure": (
+        "shot_std", "expectation", "sample_expectation", "ShotSampler", "heisenberg_z_closed_form"
+    ),
     "model": ("hamiltonian_at", "spectral_gap_at"),
 }
 
 
 def test_package_exports_resolve():
+    assert set(adiaprep.__all__) == EXPORTS
+    assert len(adiaprep.__all__) == len(EXPORTS)
     for name in adiaprep.__all__:
         assert hasattr(adiaprep, name), name
 
@@ -42,6 +58,8 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), f"{module_name}.{name}"
             assert name not in adiaprep.__all__ and not hasattr(adiaprep, name), name
     assert not hasattr(adiaprep.HermitianOperator, "negated")
+    assert not hasattr(adiaprep.ModelSpec, "observable")
+    assert not hasattr(adiaprep.EigenSystem, "dim")
 
 
 def test_removed_options_are_gone():
@@ -49,6 +67,7 @@ def test_removed_options_are_gone():
         (adiaprep.run_adiabatic, "outer"),
         (adiaprep.hold_series, "hold_integrator"),
         (adiaprep.hold_series, "substep_width"),
+        (adiaprep.hold_series, "sampler"),
         (adiaprep.AdiabaticSchedule, "profile"),
         (adiaprep.predicted_series, "observable_label"),
         (adiaprep.decompose, "residual_tol"),
