@@ -75,16 +75,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _number(text: str) -> int | float:
+    """An integer literal as an exact int, anything else as a float: a shot
+    count above 2^53 would lose its last digits through float()."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     try:
         values = [v for v in (s.strip() for s in args.values.split(",")) if v]
-        parsed = [float(v) for v in values]
+        parsed = [_number(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
     rows, path = sweep(cfg, args.parameter, parsed)
     for row in rows:
-        line = (f"{row['parameter']}={row['value']:g}  beta_sq={row['beta_sq']:.9g}  "
+        # a shot count in full, as the CSV writes it
+        value = row["value"] if isinstance(row["value"], int) else f"{row['value']:g}"
+        line = (f"{row['parameter']}={value}  beta_sq={row['beta_sq']:.9g}  "
                 f"corrected={row['corrected_value']:.9g}")
         if row["trotter_deviation"] is not None:
             line += f"  trotter_deviation={row['trotter_deviation']:.9g}"

@@ -6,6 +6,8 @@ part again, all evaluated at the midpoint ramp parameter. A piecewise-exact
 integrator (exponentiating the full sweep Hamiltonian at the midpoint) is
 kept alongside as the reference for convergence studies. Each exponential
 is one eig_hermitian call applied on Python scalars, n = 2 with the same bits.
+At n = 2 the exact-midpoint step also builds H(s) on scalars, with the bits
+of the numpy expression the split step and n > 2 keep.
 """
 
 from __future__ import annotations
@@ -66,29 +68,41 @@ def initial_state(spec: ModelSpec) -> np.ndarray:
 def _propagate(es: EigenSystem, t: float, v: list[complex]) -> list[complex]:
     """exp(-i*H*t) v for the H with eigensystem es, as sum_k e^{-i*lam_k*t}
     <e_k|v> e_k on lists of complex scalars; each sum runs in index order."""
-    rows = es.eigenvectors.tolist()
+    rows = es._rows
     coeffs = [
         cmath.rect(1.0, -lam * t) * reduce(add, [row[k].conjugate() * x for row, x in zip(rows, v)])
-        for k, lam in enumerate(es.eigenvalues.tolist())
+        for k, lam in enumerate(es._values)
     ]
     return [reduce(add, [e * c for e, c in zip(row, coeffs)]) for row in rows]
 
 
 def _propagate2(es: EigenSystem, t: float, v: list[complex]) -> list[complex]:
     """_propagate for n = 2 written out in the same operand order: the same bits."""
-    lam0, lam1 = es.eigenvalues.tolist()
-    (e00, e01), (e10, e11) = es.eigenvectors.tolist()
+    lam0, lam1 = es._values
+    (e00, e01), (e10, e11) = es._rows
     v0, v1 = v
     c0 = cmath.rect(1.0, -lam0 * t) * (e00.conjugate() * v0 + e10.conjugate() * v1)
     c1 = cmath.rect(1.0, -lam1 * t) * (e01.conjugate() * v0 + e11.conjugate() * v1)
     return [e00 * c0 + e01 * c1, e10 * c0 + e11 * c1]
 
 
+def _sweep_hamiltonian2(a: list, b: list, s: float) -> list[list[complex]]:
+    """(1-s)*a + s*b for 2x2 rows a and b, entry by entry in numpy's
+    operations: each real factor enters as a complex with imaginary part +0,
+    as numpy casts it, so the rows carry the bits of the array expression."""
+    u, s = complex(1.0 - s), complex(s)
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return [[u * a00 + s * b00, u * a01 + s * b01], [u * a10 + s * b10, u * a11 + s * b11]]
+
+
 def _ramp(v: list, spec: ModelSpec, schedule: AdiabaticSchedule, integrator: str, steps) -> list:
     """Apply steps of the schedule to the state list v, each frozen at its
     midpoint s; the split step puts (1-s)*H0 half steps around s*H_T."""
     h0, ht = spec.initial.matrix, spec.target.matrix
-    propagate = _propagate2 if spec.dim == 2 else _propagate
+    two = spec.dim == 2
+    propagate = _propagate2 if two else _propagate
+    rows0, rowst = h0.tolist(), ht.tolist()
     dt = schedule.step_width
     for k in steps:
         s_mid = schedule.s(k * dt + 0.5 * dt)
@@ -96,6 +110,8 @@ def _ramp(v: list, spec: ModelSpec, schedule: AdiabaticSchedule, integrator: str
             half = eig_hermitian((1.0 - s_mid) * h0)
             full = eig_hermitian(s_mid * ht)
             v = propagate(half, 0.5 * dt, propagate(full, dt, propagate(half, 0.5 * dt, v)))
+        elif two:
+            v = propagate(eig_hermitian(_sweep_hamiltonian2(rows0, rowst, s_mid)), dt, v)
         else:
             v = propagate(eig_hermitian((1.0 - s_mid) * h0 + s_mid * ht), dt, v)
     return v

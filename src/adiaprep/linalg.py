@@ -7,30 +7,30 @@ runs byte-identical, so do not swap in a platform eigensolver here.
 
 The Jacobi kernel runs on Python complex scalars held in lists: the working
 matrix as rows, the eigenvector basis as columns. Every rotation is plain
-scalar IEEE double arithmetic with no numpy dispatch, and numpy arrays are
-built once, for the result. A rotation recomputes rows p and q and mirrors
-them into columns p and q, so the working matrix stays exactly Hermitian.
-The rules are fixed: sweep (p, q) pairs in row order, skip a rotation when
-a[p][q] == 0, stop when the off-diagonal Frobenius norm is at most
-JACOBI_RELATIVE_TOL times the matrix norm, then sort stably, order each
-degenerate group by pivot index and make every pivot component real and
-positive. One call costs 2-3 ms at n=8 on a 2-vCPU x86-64 VM (Python 3.11,
-numpy 2.4). The cost grows with n^3 per sweep; at n=64 a call takes
-about 1.3 s.
+scalar IEEE double arithmetic with no numpy dispatch. Rows of Python complex
+go in as they are, and the result keeps the solver's scalars: EigenSystem
+builds its numpy arrays only when they are read, which the ramp never does.
+A rotation recomputes rows p and q and mirrors them into columns p and q,
+so the working matrix stays exactly Hermitian. The rules are fixed: sweep
+(p, q) pairs in row order, skip a rotation when a[p][q] == 0, stop when the
+off-diagonal Frobenius norm is at most JACOBI_RELATIVE_TOL times the matrix
+norm, then sort stably, order each degenerate group by pivot index and make
+every pivot component real and positive. One call costs 1.5-2 ms at n=8 on
+a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4). The cost grows with n^3 per
+sweep; at n=64 a call takes about 1.3 s.
 
 n=2, the dimension of every built-in model, goes to _hermitian_part2 and
 _jacobi2: the same check, sweeps, rotations and canonical form written out
 on scalars. They must return the bits of the general code, signed zeros and
 exception text included; tests compare them on more than 20,000 matrices.
-A 2x2 call costs about 13 us. The ramp and the hold apply eigensystems
-themselves.
+A 2x2 call costs about 6-8 us on rows and 8-9 us on an array. The ramp
+and the hold apply eigensystems themselves.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,16 +149,45 @@ def _hermitian_part2(a: list[list[complex]], tol: float) -> tuple[list[list[comp
     return _hermitian_part(a, tol)
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 
     eigenvalues are real and ascending; eigenvectors[:, k] belongs to
-    eigenvalues[k] and the column set is unitary.
+    eigenvalues[k] and the column set is unitary. Both are read-only numpy
+    arrays, each built the first time it is read from the solver's Python
+    scalars: a list of floats and rows of complex, which the ramp reads
+    directly. Arrays passed in are taken as those scalars.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("_values", "_rows", "_eigenvalues", "_eigenvectors")
+
+    def __init__(self, eigenvalues, eigenvectors) -> None:
+        if isinstance(eigenvalues, np.ndarray):
+            eigenvalues = eigenvalues.tolist()
+        if isinstance(eigenvectors, np.ndarray):
+            eigenvectors = eigenvectors.tolist()
+        self._values, self._rows = eigenvalues, eigenvectors
+        self._eigenvalues = self._eigenvectors = None
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            self._eigenvalues = _read_only(np.array(self._values, dtype=np.float64))
+        return self._eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            self._eigenvectors = _read_only(np.array(self._rows, dtype=np.complex128))
+        return self._eigenvectors
+
+    def __repr__(self) -> str:
+        return f"EigenSystem(eigenvalues={self.eigenvalues!r}, eigenvectors={self.eigenvectors!r})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _offdiag_norm(a: list[list[complex]]) -> float:
@@ -243,12 +272,6 @@ def _canonicalize(
     return lam, v
 
 
-def _frozen(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> EigenSystem:
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return EigenSystem(eigenvalues, eigenvectors)
-
-
 def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
     """Cyclic Jacobi sweeps on the Hermitian rows a, whose Frobenius norm is
     scale; a is overwritten."""
@@ -270,7 +293,8 @@ def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
                 f"(dimension {n}, residual {_offdiag_norm(a):.3e})"
             )
     lam, v = _canonicalize([a[k][k].real for k in range(n)], v)
-    return _frozen(np.array(lam), np.array(v).T.copy())
+    # v holds columns; the eigenvector rows are its transpose
+    return EigenSystem(lam, [list(row) for row in zip(*v)])
 
 
 def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
@@ -334,12 +358,34 @@ def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
     if mod > 0.0:
         gauge = anchor.conjugate() / mod
         q0, q1 = q0 * gauge, q1 * gauge
-    return _frozen(np.array([lam0, lam1]), np.array([[p0, q0], [p1, q1]]))
+    return EigenSystem([lam0, lam1], [[p0, q0], [p1, q1]])
+
+
+def _complex_rows(m) -> list[list[complex]] | None:
+    """m itself when it is a list of n >= 1 lists of n finite Python complex
+    values, as _square_rows returns them; None for anything else."""
+    if type(m) is not list or not m:
+        return None
+    n = len(m)
+    for row in m:
+        if type(row) is not list or len(row) != n:
+            return None
+        for z in row:
+            if type(z) is not complex or not cmath.isfinite(z):
+                return None
+    return m
 
 
 def eig_hermitian(m) -> EigenSystem:
-    """Full eigensystem of a Hermitian matrix by cyclic Jacobi sweeps."""
-    rows = _square_rows(np.asarray(m, dtype=np.complex128))
+    """Full eigensystem of a Hermitian matrix by cyclic Jacobi sweeps.
+
+    m is anything numpy reads as a square complex matrix. Rows of Python
+    complex skip the array round trip; any that fail a check take the array
+    path, so the error is the one the same matrix raises as an array.
+    """
+    rows = _complex_rows(m)
+    if rows is None:
+        rows = _square_rows(np.asarray(m, dtype=np.complex128))
     if len(rows) == 2:
         return _jacobi2(*_hermitian_part2(rows, HERMITICITY_TOL))
     return _jacobi(*_hermitian_part(rows, HERMITICITY_TOL))

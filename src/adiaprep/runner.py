@@ -226,8 +226,10 @@ def sweep(
     deviations: dict = {}
     for value in values:
         if parameter == "shots":
-            number = float(value)
-            if not (number >= 0 and number.is_integer()):
+            # an int is taken as it is: float() rounds one above 2^53
+            exact = isinstance(value, int)
+            number = value if exact else float(value)
+            if not (number >= 0 and (exact or number.is_integer())):
                 raise ConfigError(f"sweep value for shots must be a nonnegative integer, got {value!r}")
             value = int(number)
         else:

@@ -130,6 +130,21 @@ def test_cli_rejects_shots_past_the_sampler_range(tmp_path, capsys):
     assert run_cli(["validate", "--preset", "fig2", "--set", f"shots={2**63 - 1}"]) == 0
 
 
+def test_cli_sweep_keeps_a_shot_count_past_2_53_exact(tmp_path, capsys):
+    # float() rounds 2^53 + 1 down to 2^53; 1e6 is still a shot count
+    shots = 2**53 + 1
+    out = tmp_path / "sweep"
+    code = run_cli(
+        ["sweep", "--preset", "fig1a", "--parameter", "shots", "--values", f"{shots},1e6",
+         "--out", str(out)]
+    )
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert f"shots={shots}  " in stdout and "shots=1000000  " in stdout
+    lines = (out / "sweep_shots.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in lines] == [["shots", str(shots)], ["shots", "1000000"]]
+
+
 def test_cli_rejects_a_step_width_that_does_not_divide_the_ramp(tmp_path, capsys):
     # a rounded step count would ramp 35.98 of 36 and compare it with a
     # reference over 35.9997
@@ -630,7 +645,7 @@ def test_cli_sweep_rejects_bad_values(capsys):
     )
     assert code == 2
     assert "--values" in capsys.readouterr().err
-    for value in ("inf", "nan", "-1", "2.5"):
+    for value in ("inf", "nan", "-1", "1.5", "2.5"):
         code = run_cli(
             ["sweep", "--preset", "fig2", "--parameter", "shots", "--values", value]
         )

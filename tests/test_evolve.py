@@ -117,6 +117,28 @@ def test_trotter_single_step_local_error_is_third_order():
         assert 6.5 < r < 9.5
 
 
+def test_sweep_hamiltonian2_has_the_bits_of_the_array_expression():
+    # H(s) of the exact-midpoint step, built on scalars for n = 2, must equal
+    # numpy's (1-s)*H0 + s*H_T entry by entry, signed zeros included
+    inline = (
+        np.array([[-0.5, complex(-0.0, 0.3)], [complex(-0.0, -0.3), 0.25]]),
+        np.array([[complex(1.5, -0.0), 0.2 - 0.7j], [0.2 + 0.7j, -1.1]]),
+    )
+    pairs = [(spec.initial.matrix, spec.target.matrix)
+             for spec in (model_one(1.0), model_two(np.pi / 4.0))]
+    pairs.append(inline)
+    _, sched = fig2_setup()
+    dt = sched.step_width
+    grid = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]
+    grid += [sched.s(k * dt + 0.5 * dt) for k in range(sched.num_steps)]
+    grid += [float(s) for s in np.random.default_rng(19).uniform(0.0, 1.0, 500)]
+    for h0, ht in pairs:
+        a, b = h0.tolist(), ht.tolist()
+        for s in grid:
+            got = np.array(evolve._sweep_hamiltonian2(a, b, s), dtype=complex)
+            assert got.tobytes() == ((1.0 - s) * h0 + s * ht).tobytes(), (a, b, s)
+
+
 def test_run_adiabatic_rejects_unknown_integrator():
     spec, sched = fig1a_setup()
     with pytest.raises(ValueError, match="integrator"):

@@ -78,11 +78,22 @@ def test_eig_is_deterministic():
 
 
 def test_eig_returns_read_only_arrays():
-    es = eig_hermitian(HAD)
-    for array in (es.eigenvalues, es.eigenvectors):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    m3 = random_hermitian(np.random.default_rng(5), 3)
+    solved = [eig_hermitian(HAD), eig_hermitian(HAD.tolist()), eig_hermitian(m3)]
+    built = EigenSystem(np.array([-1.0, 1.0]), np.eye(2, dtype=complex))
+    for es in solved + [built]:
+        n = len(es.eigenvalues)
+        for array, dtype, shape in (
+            (es.eigenvalues, np.float64, (n,)),
+            (es.eigenvectors, np.complex128, (n, n)),
+        ):
+            assert array.dtype == dtype and array.shape == shape
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # each array is built once, on the first read
+        assert es.eigenvalues is es.eigenvalues
+        assert es.eigenvectors is es.eigenvectors
 
 
 def test_eig_one_by_one():
@@ -273,6 +284,51 @@ def test_eigensystem_dim():
     es = eig_hermitian(Z)
     assert isinstance(es, EigenSystem)
     assert es.eigenvalues.shape == (2,) and es.eigenvectors.shape == (2, 2)
+
+
+def _eig_outcome(m):
+    try:
+        es = eig_hermitian(m)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return es.eigenvalues.tobytes(), es.eigenvectors.tobytes()
+
+
+def test_eig_on_rows_has_the_bits_of_eig_on_the_array():
+    rng = np.random.default_rng(2026)
+    cases = _two_by_two_cases(rng, 100)
+    cases += [random_hermitian(rng, 2) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(1000)]
+    cases += [random_hermitian(rng, n) for n in (3, 5) for _ in range(20)]
+    for m in cases:
+        rows = m.tolist()
+        assert linalg._complex_rows(rows) is rows
+        assert _eig_outcome(rows) == _eig_outcome(m), rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[1 + 0j, 0j], [0j]],
+        [[1 + 0j, 0j, 0j], [0j, 1 + 0j, 0j]],
+        [[1 + 0j, 0j], [complex("nan"), 1 + 0j]],
+        [[1 + 0j, 0j, 0j], [0j, 1 + 0j, 0j], [0j, complex(0.0, -np.inf), 1 + 0j]],
+        [[1 + 0j, 1e-3 + 0j], [0j, 1 + 0j]],
+        [[1 + 0j, 1e-3 + 0j, 0j], [0j, 1 + 0j, 0j], [0j, 0j, 1 + 0j]],
+        [[1e308 + 0j, 0j], [0j, -1e308 + 0j]],
+        [[8e307 + 0j] * 3 for _ in range(3)],
+    ],
+    ids=["empty", "ragged", "non-square", "nan", "inf", "defect-2x2", "defect-3x3",
+         "overflow", "norm-overflow"],
+)
+def test_eig_on_rows_raises_as_on_the_array(rows):
+    try:
+        want = _eig_outcome(np.array(rows, dtype=np.complex128))
+    except ValueError as exc:
+        # ragged rows have no array form; numpy's own error is the one to keep
+        want = type(exc), str(exc)
+    got = _eig_outcome(rows)
+    assert isinstance(got[0], type) and got == want
 
 
 def _kernel_outcome(kernel, h, scale):
