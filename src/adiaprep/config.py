@@ -99,15 +99,20 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"config field {field_name!r}: {message}")
 
 
+def _is_number(x) -> bool:
+    # JSON true/false arrive as bool, an int subclass
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _matrix_from_json(value, field_name: str) -> np.ndarray:
     """Nested lists with entries that are numbers or [re, im] pairs."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config field {field_name!r}: expected a matrix as a list of rows")
 
     def entry(x):
-        if isinstance(x, (int, float)):
+        if _is_number(x):
             return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(isinstance(p, (int, float)) for p in x):
+        if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
             return complex(x[0], x[1])
         raise ConfigError(
             f"config field {field_name!r}: matrix entries must be numbers or [re, im] pairs"
@@ -156,10 +161,7 @@ class ExperimentConfig:
         for name in positive:
             value = getattr(self, name)
             _require(
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-                and value > 0,
+                _is_number(value) and math.isfinite(value) and value > 0,
                 name,
                 f"must be a number > 0 (got {value!r})",
             )
@@ -244,20 +246,20 @@ class ExperimentConfig:
         for key in ("initial", "target"):
             if key not in spec_dict:
                 raise ConfigError(f"config field 'model': missing {key!r} matrix")
-        initial = HermitianOperator(
-            self.coupling * _matrix_from_json(spec_dict["initial"], "model.initial"), "initial"
+        name = spec_dict.get("name", "")
+        _require(isinstance(name, str), "model.name", f"must be a string (got {name!r})")
+        initial, target = (
+            HermitianOperator(self.coupling * _matrix_from_json(spec_dict[key], f"model.{key}"), key)
+            for key in ("initial", "target")
         )
-        target = HermitianOperator(
-            self.coupling * _matrix_from_json(spec_dict["target"], "model.target"), "target"
-        )
-        es = eig_hermitian(target.matrix)
+        vectors = eig_hermitian(target.matrix).eigenvectors
         return ModelSpec(
             initial=initial,
             target=target,
             coupling=self.coupling,
             observables=(),
-            reference_ground_state=es.eigenvectors[:, 0],
-            reference_excited_state=es.eigenvectors[:, 1],
+            reference_ground_state=vectors[:, 0],
+            reference_excited_state=vectors[:, 1],
             kind=None,
         )
 
@@ -271,9 +273,9 @@ class ExperimentConfig:
                 raise ConfigError(f"config field 'observables': unknown keys {sorted(unknown)}")
             if "label" not in entry or "matrix" not in entry:
                 raise ConfigError("config field 'observables': inline entries need label and matrix")
-            op = HermitianOperator(
-                _matrix_from_json(entry["matrix"], "observables.matrix"), str(entry["label"])
-            )
+            label = entry["label"]
+            _require(isinstance(label, str), "observables.label", f"must be a string (got {label!r})")
+            op = HermitianOperator(_matrix_from_json(entry["matrix"], "observables.matrix"), label)
         else:
             raise ConfigError(f"config field 'observables': bad entry {entry!r}")
         if op.dim != base.dim:

@@ -68,18 +68,18 @@ def initial_state(spec: ModelSpec) -> np.ndarray:
 def _propagate(es: EigenSystem, t: float, v: list[complex]) -> list[complex]:
     """exp(-i*H*t) v for the H with eigensystem es, as sum_k e^{-i*lam_k*t}
     <e_k|v> e_k on lists of complex scalars; each sum runs in index order."""
-    rows = es._rows
+    rows = es.rows
     coeffs = [
         cmath.rect(1.0, -lam * t) * reduce(add, [row[k].conjugate() * x for row, x in zip(rows, v)])
-        for k, lam in enumerate(es._values)
+        for k, lam in enumerate(es.values)
     ]
     return [reduce(add, [e * c for e, c in zip(row, coeffs)]) for row in rows]
 
 
 def _propagate2(es: EigenSystem, t: float, v: list[complex]) -> list[complex]:
     """_propagate for n = 2 written out in the same operand order: the same bits."""
-    lam0, lam1 = es._values
-    (e00, e01), (e10, e11) = es._rows
+    lam0, lam1 = es.values
+    (e00, e01), (e10, e11) = es.rows
     v0, v1 = v
     c0 = cmath.rect(1.0, -lam0 * t) * (e00.conjugate() * v0 + e10.conjugate() * v1)
     c1 = cmath.rect(1.0, -lam1 * t) * (e01.conjugate() * v0 + e11.conjugate() * v1)

@@ -8,8 +8,8 @@ runs byte-identical, so do not swap in a platform eigensolver here.
 The Jacobi kernel runs on Python complex scalars held in lists: the working
 matrix as rows, the eigenvector basis as columns. Every rotation is plain
 scalar IEEE double arithmetic with no numpy dispatch. Rows of Python complex
-go in as they are, and the result keeps the solver's scalars: EigenSystem
-builds its numpy arrays only when they are read, which the ramp never does.
+go in as they are, and EigenSystem is a record of the solver's own floats
+and complex rows; its properties build read-only numpy arrays on each read.
 A rotation recomputes rows p and q and mirrors them into columns p and q,
 so the working matrix stays exactly Hermitian. The rules are fixed: sweep
 (p, q) pairs in row order, skip a rotation when a[p][q] == 0, stop when the
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,40 +150,25 @@ def _hermitian_part2(a: list[list[complex]], tol: float) -> tuple[list[list[comp
     return _hermitian_part(a, tol)
 
 
-class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
+class EigenSystem(NamedTuple):
+    """Spectral decomposition of a Hermitian matrix, as the solver returns it.
 
-    eigenvalues are real and ascending; eigenvectors[:, k] belongs to
-    eigenvalues[k] and the column set is unitary. Both are read-only numpy
-    arrays, each built the first time it is read from the solver's Python
-    scalars: a list of floats and rows of complex, which the ramp reads
-    directly. Arrays passed in are taken as those scalars.
+    values are real and ascending; column k of rows belongs to values[k] and
+    the column set is unitary. values is a list of floats and rows is a list
+    of rows of Python complex, which the ramp reads directly. eigenvalues and
+    eigenvectors build them into a fresh read-only numpy array on each read.
     """
 
-    __slots__ = ("_values", "_rows", "_eigenvalues", "_eigenvectors")
-
-    def __init__(self, eigenvalues, eigenvectors) -> None:
-        if isinstance(eigenvalues, np.ndarray):
-            eigenvalues = eigenvalues.tolist()
-        if isinstance(eigenvectors, np.ndarray):
-            eigenvectors = eigenvectors.tolist()
-        self._values, self._rows = eigenvalues, eigenvectors
-        self._eigenvalues = self._eigenvectors = None
+    values: list[float]
+    rows: list[list[complex]]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        if self._eigenvalues is None:
-            self._eigenvalues = _read_only(np.array(self._values, dtype=np.float64))
-        return self._eigenvalues
+        return _read_only(np.array(self.values, dtype=np.float64))
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        if self._eigenvectors is None:
-            self._eigenvectors = _read_only(np.array(self._rows, dtype=np.complex128))
-        return self._eigenvectors
-
-    def __repr__(self) -> str:
-        return f"EigenSystem(eigenvalues={self.eigenvalues!r}, eigenvectors={self.eigenvectors!r})"
+        return _read_only(np.array(self.rows, dtype=np.complex128))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -304,7 +290,7 @@ def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
     expressions, operand order and Python types, so signed zeros match too:
     do not simplify the algebra, not even (1+0j)*c - 0j*uc to c. _rotate's
     mirror loop is left out because rows p and q are all of a and both are
-    replaced.
+    replaced, and its return on a[p][q] == 0 because the test above stops first.
     """
     (a00, a01), (a10, a11) = a
     # eigenvector columns (p0, p1) and (q0, q1), starting from the identity
@@ -314,8 +300,6 @@ def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
             mod = abs(a01)
             if _SQRT2 * math.hypot(mod) <= JACOBI_RELATIVE_TOL * scale:
                 break
-            if mod == 0.0:
-                continue
             phase = a01 / mod
             tau = (a11.real - a00.real) / (2.0 * mod)
             if tau == 0.0:

@@ -141,9 +141,10 @@ def hold_series(
         raise ValueError("hold window shorter than one sample interval")
     times = np.arange(n, dtype=np.float64) * sample_dt
     es = eig_hermitian(spec.target.matrix)
-    coeff = es.eigenvectors.conj().T @ v
+    vectors = es.eigenvectors
+    coeff = vectors.conj().T @ v
     phased = np.exp(-1j * np.outer(times, es.eigenvalues)) * coeff
-    states = _matvec_rows(es.eigenvectors, phased)
+    states = _matvec_rows(vectors, phased)
     values = _dot_rows(states.conj(), _matvec_rows(observable.matrix, states))
     residue = float(np.max(np.abs(values.imag)))
     if residue > _residue_tolerance(observable.matrix):

@@ -186,28 +186,33 @@ class ModelSpec:
         return self.excited_energy - self.ground_energy
 
 
+def _builtin_model(
+    kind: str, coupling: float, target: str, ground: np.ndarray, excited: np.ndarray
+) -> ModelSpec:
+    """Ramp -J*Z into -J*target, with the target's closed-form reference pair."""
+    if not (np.isfinite(coupling) and coupling > 0.0):
+        raise ValueError(f"coupling must be positive, got {coupling!r}")
+    j = float(coupling)
+    return ModelSpec(
+        initial=HermitianOperator(-j * _PAULI["Z"], "-J*Z"),
+        target=HermitianOperator(-j * _PAULI[target], f"-J*{target}"),
+        coupling=j,
+        observables=(),
+        reference_ground_state=ground,
+        reference_excited_state=excited,
+        kind=kind,
+    )
+
+
 def model_one(coupling: float) -> ModelSpec:
     """Bit-flip benchmark: ramp -J*Z into -J*X.
 
     Z anti-commutes with the target, so any residual excitation makes <Z>
     oscillate around zero during the hold; -X commutes and is conserved.
     """
-    if not (np.isfinite(coupling) and coupling > 0.0):
-        raise ValueError(f"coupling must be positive, got {coupling!r}")
-    j = float(coupling)
-    h0 = HermitianOperator(-j * _PAULI["Z"], "-J*Z")
-    ht = HermitianOperator(-j * _PAULI["X"], "-J*X")
     plus = np.array([1.0, 1.0], dtype=np.complex128) / _SQRT2
     minus = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
-    return ModelSpec(
-        initial=h0,
-        target=ht,
-        coupling=j,
-        observables=(pauli("Z"), observable_from_label("-X")),
-        reference_ground_state=plus,
-        reference_excited_state=minus,
-        kind="model1",
-    )
+    return _builtin_model("model1", coupling, "X", plus, minus)
 
 
 def model_two(coupling: float) -> ModelSpec:
@@ -217,22 +222,9 @@ def model_two(coupling: float) -> ModelSpec:
     1/sqrt(2), so the hold-phase <Z> record oscillates around an offset and
     its time average is biased by the excited-state weight.
     """
-    if not (np.isfinite(coupling) and coupling > 0.0):
-        raise ValueError(f"coupling must be positive, got {coupling!r}")
-    j = float(coupling)
-    h0 = HermitianOperator(-j * _PAULI["Z"], "-J*Z")
-    ht = HermitianOperator(-j * _PAULI["H"], "-J*H")
     ground = np.array([1.0, _SQRT2 - 1.0], dtype=np.complex128) / np.sqrt(4.0 - 2.0 * _SQRT2)
     excited = np.array([1.0, -(_SQRT2 + 1.0)], dtype=np.complex128) / np.sqrt(4.0 + 2.0 * _SQRT2)
-    return ModelSpec(
-        initial=h0,
-        target=ht,
-        coupling=j,
-        observables=(pauli("Z"),),
-        reference_ground_state=ground,
-        reference_excited_state=excited,
-        kind="model2",
-    )
+    return _builtin_model("model2", coupling, "H", ground, excited)
 
 
 # the built-in models by config name; a spec's kind is its name here

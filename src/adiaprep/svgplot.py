@@ -26,8 +26,8 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 30, 46
 
 
-def _nice_step(span: float, target: int = 5) -> float:
-    raw = span / target
+def _nice_step(span: float) -> float:
+    raw = span / 5  # about five ticks per axis
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * magnitude:

@@ -57,6 +57,8 @@ def test_config_from_dict_rejects_unknown_and_missing_fields():
         config_from_dict({**PRESETS["fig1a"], "bogus": 1})
     with pytest.raises(ConfigError, match="missing required"):
         config_from_dict({"model": "model1"})
+    with pytest.raises(ConfigError, match="^config: expected a JSON object, got list$"):
+        config_from_dict([])
 
 
 def test_config_validation_names_the_field():
@@ -468,6 +470,78 @@ def test_cli_rejects_non_boolean_output_flags(capsys):
     for name, text in (("svg", "no"), ("csv", "1"), ("json", '"true"')):
         assert run_cli(["validate", "--preset", "fig2", "--set", f"outputs.{name}={text}"]) == 2
         assert f"config field 'outputs.{name}'" in capsys.readouterr().err
+
+
+_Z = '[[1,0],[0,-1]]'
+_X = '[[0,1],[1,0]]'
+
+
+def _inline(initial=_Z, target=_X, extra=""):
+    return f'model={{"initial": {initial}, "target": {target}{extra}}}'
+
+
+@pytest.mark.parametrize(
+    "source, overrides, seed, message",
+    [
+        # inline matrices
+        ("fig1a", [_inline(initial="5")], None,
+         "config field 'model.initial': expected a matrix as a list of rows"),
+        ("fig1a", [_inline(target='[[0,"1"],[1,0]]')], None,
+         "config field 'model.target': matrix entries must be numbers or [re, im] pairs"),
+        ("fig1a", [_inline(initial="[[true,0],[0,false]]")], None,
+         "config field 'model.initial': matrix entries must be numbers or [re, im] pairs"),
+        ("fig1a", [_inline(target="[[0,[1,false]],[1,0]]")], None,
+         "config field 'model.target': matrix entries must be numbers or [re, im] pairs"),
+        ("fig1a", [_inline(target="[[0,1],[1]]")], None, "config field 'model.target': "),
+        ("fig1a", [_inline(target="[[0,1]]")], None,
+         "config field 'model.target': matrix must be square, got (1, 2)"),
+        # inline models
+        ("fig1a", [_inline(extra=', "size": 2')], None,
+         "config field 'model': unknown keys ['size']"),
+        ("fig1a", [f'model={{"initial": {_Z}}}'], None,
+         "config field 'model': missing 'target' matrix"),
+        ("fig1a", [_inline(extra=', "name": ["flip"]')], None,
+         "config field 'model.name': must be a string (got ['flip'])"),
+        # inline observables
+        ("fig1a", [f'observables=[{{"label": "A", "matrix": {_Z}, "scale": 2}}]'], None,
+         "config field 'observables': unknown keys ['scale']"),
+        ("fig1a", [f'observables=[{{"matrix": {_Z}}}]'], None,
+         "config field 'observables': inline entries need label and matrix"),
+        ("fig1a", ['observables=[{"label": "A"}]'], None,
+         "config field 'observables': inline entries need label and matrix"),
+        ("fig1a", [f'observables=[{{"label": ["a"], "matrix": {_Z}}}]'], None,
+         "config field 'observables.label': must be a string (got ['a'])"),
+        ("fig1a", ['observables=[{"label": "A", "matrix": [[1,0],[0,true]]}]'], None,
+         "config field 'observables.matrix': matrix entries must be numbers or [re, im] pairs"),
+        ("fig1a", ["observables=[5]"], None, "config field 'observables': bad entry 5"),
+        # the config object, its file and the command line
+        ("fig1a", ['observables="Z"'], None, "config: observables must be a list"),
+        ("fig1a", ["outputs=5"], None, "config: outputs must be an object"),
+        ("fig1a", ["outputs.png=true"], None, "config: unknown outputs fields ['png']"),
+        ("[1]", [], None, "must hold a JSON object"),
+        ("fig1a", ["=x"], None, "bad --set '=x': empty key"),
+        ("fig1a", [], str(2**64), f"ADIAPREP_SEED must lie in [0, 2^64), got {2**64}"),
+        ("fig1a", [], "-1", "ADIAPREP_SEED must lie in [0, 2^64), got -1"),
+    ],
+)
+def test_cli_config_errors_exit_2_naming_the_field(
+    source, overrides, seed, message, tmp_path, monkeypatch, capsys
+):
+    if source in PRESETS:
+        args = ["validate", "--preset", source]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(source)
+        args = ["validate", "--config", str(path)]
+        message = f"config file {path} {message}"
+    if seed is None:
+        monkeypatch.delenv("ADIAPREP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ADIAPREP_SEED", seed)
+    for override in overrides:
+        args += ["--set", override]
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_non_hermitian_inline_observable_names_the_observables_field():

@@ -91,9 +91,9 @@ def test_eig_returns_read_only_arrays():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        # each array is built once, on the first read
-        assert es.eigenvalues is es.eigenvalues
-        assert es.eigenvectors is es.eigenvectors
+        # each read builds the array from the record's own fields
+        assert np.array_equal(es.eigenvalues, es.values)
+        assert np.array_equal(es.eigenvectors, es.rows)
 
 
 def test_eig_one_by_one():
