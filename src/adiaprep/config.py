@@ -108,6 +108,10 @@ def _matrix_from_json(value, field_name: str) -> np.ndarray:
     """Nested lists with entries that are numbers or [re, im] pairs."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config field {field_name!r}: expected a matrix as a list of rows")
+    for i, row in enumerate(value):
+        _require(
+            isinstance(row, list), field_name, f"matrix rows must be lists (row {i} is {row!r})"
+        )
 
     def entry(x):
         if _is_number(x):
@@ -275,6 +279,7 @@ class ExperimentConfig:
                 raise ConfigError("config field 'observables': inline entries need label and matrix")
             label = entry["label"]
             _require(isinstance(label, str), "observables.label", f"must be a string (got {label!r})")
+            _require(label != "", "observables.label", "must not be empty")
             op = HermitianOperator(_matrix_from_json(entry["matrix"], "observables.matrix"), label)
         else:
             raise ConfigError(f"config field 'observables': bad entry {entry!r}")

@@ -6,8 +6,9 @@ part again, all evaluated at the midpoint ramp parameter. A piecewise-exact
 integrator (exponentiating the full sweep Hamiltonian at the midpoint) is
 kept alongside as the reference for convergence studies. Each exponential
 is one eig_hermitian call applied on Python scalars, n = 2 with the same bits.
-At n = 2 the exact-midpoint step also builds H(s) on scalars, with the bits
-of the numpy expression the split step and n > 2 keep.
+At n = 2 both steps also build their matrices on scalars: the split step
+(1-s)*H0 and s*H_T, the exact-midpoint step H(s), each with the bits of the
+numpy expression that n > 2 evaluates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -86,34 +87,49 @@ def _propagate2(es: EigenSystem, t: float, v: list[complex]) -> list[complex]:
     return [e00 * c0 + e01 * c1, e10 * c0 + e11 * c1]
 
 
+def _scale2(x: float, a: list) -> list[list[complex]]:
+    """x*a for 2x2 rows a, entry by entry in numpy's operation for x * array:
+    x enters as a complex with imaginary part +0, as numpy casts it, so the
+    rows carry the bits of the array expression."""
+    x = complex(x)
+    (a00, a01), (a10, a11) = a
+    return [[x * a00, x * a01], [x * a10, x * a11]]
+
+
 def _sweep_hamiltonian2(a: list, b: list, s: float) -> list[list[complex]]:
     """(1-s)*a + s*b for 2x2 rows a and b, entry by entry in numpy's
-    operations: each real factor enters as a complex with imaginary part +0,
-    as numpy casts it, so the rows carry the bits of the array expression."""
+    operations, as _scale2 builds each term: the bits of the array expression."""
     u, s = complex(1.0 - s), complex(s)
     (a00, a01), (a10, a11) = a
     (b00, b01), (b10, b11) = b
     return [[u * a00 + s * b00, u * a01 + s * b01], [u * a10 + s * b10, u * a11 + s * b11]]
 
 
+def _sweep_hamiltonian(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    return (1.0 - s) * a + s * b
+
+
 def _ramp(v: list, spec: ModelSpec, schedule: AdiabaticSchedule, integrator: str, steps) -> list:
     """Apply steps of the schedule to the state list v, each frozen at its
-    midpoint s; the split step puts (1-s)*H0 half steps around s*H_T."""
+    midpoint s; the split step puts (1-s)*H0 half steps around s*H_T.
+
+    n = 2 builds every matrix as rows of Python complex with the bits of the
+    numpy expressions that n > 2 evaluates."""
     h0, ht = spec.initial.matrix, spec.target.matrix
-    two = spec.dim == 2
-    propagate = _propagate2 if two else _propagate
-    rows0, rowst = h0.tolist(), ht.tolist()
+    if spec.dim == 2:
+        h0, ht = h0.tolist(), ht.tolist()
+        propagate, scale, sweep = _propagate2, _scale2, _sweep_hamiltonian2
+    else:
+        propagate, scale, sweep = _propagate, mul, _sweep_hamiltonian
     dt = schedule.step_width
     for k in steps:
         s_mid = schedule.s(k * dt + 0.5 * dt)
         if integrator == "trotter2":
-            half = eig_hermitian((1.0 - s_mid) * h0)
-            full = eig_hermitian(s_mid * ht)
+            half = eig_hermitian(scale(1.0 - s_mid, h0))
+            full = eig_hermitian(scale(s_mid, ht))
             v = propagate(half, 0.5 * dt, propagate(full, dt, propagate(half, 0.5 * dt, v)))
-        elif two:
-            v = propagate(eig_hermitian(_sweep_hamiltonian2(rows0, rowst, s_mid)), dt, v)
         else:
-            v = propagate(eig_hermitian((1.0 - s_mid) * h0 + s_mid * ht), dt, v)
+            v = propagate(eig_hermitian(sweep(h0, ht, s_mid)), dt, v)
     return v
 
 

@@ -19,12 +19,15 @@ every pivot component real and positive. One call costs 1.5-2 ms at n=8 on
 a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4). The cost grows with n^3 per
 sweep; at n=64 a call takes about 1.3 s.
 
-n=2, the dimension of every built-in model, goes to _hermitian_part2 and
-_jacobi2: the same check, sweeps, rotations and canonical form written out
-on scalars. They must return the bits of the general code, signed zeros and
-exception text included; tests compare them on more than 20,000 matrices.
-A 2x2 call costs about 6-8 us on rows and 8-9 us on an array. The ramp
-and the hold apply eigensystems themselves.
+n=2, the dimension of every built-in model, goes to _eig2 once the rows
+pass the checks every size does: one routine on the four entries that runs
+the Hermiticity check, symmetrisation, sweeps, rotations and canonical form
+written out on scalars. It must return the bits of the general code,
+signed zeros and exception text included; a defect past the tolerance or
+an overflow goes to the general check, so its message is the same. Tests
+compare the two on more than 20,000 matrices. A 2x2 call costs about
+4-6.5 us on rows and 5-8 us on an array. The ramp and the hold apply
+eigensystems themselves.
 """
 
 from __future__ import annotations
@@ -135,19 +138,6 @@ def _hermitian_part(a: list[list[complex]], tol: float) -> tuple[list[list[compl
                     )
         raise ValueError("Hermitian part has a Frobenius norm past the largest float")
     return h, norm
-
-
-def _hermitian_part2(a: list[list[complex]], tol: float) -> tuple[list[list[complex]], float]:
-    """_hermitian_part for n = 2 on scalars, with the same bits and errors: a
-    defect or an overflow goes to _hermitian_part or raises as it does there."""
-    (a00, a01), (a10, a11) = a
-    y = a10.conjugate()
-    if max(abs(a00 - a00.conjugate()), abs(a01 - y), abs(a11 - a11.conjugate())) <= tol:
-        h00, z, h11 = (a00 + a00.conjugate()) / 2.0, (a01 + y) / 2.0, (a11 + a11.conjugate()) / 2.0
-        norm = math.hypot(abs(h00), abs(z), abs(z.conjugate()), abs(h11))
-        if math.isfinite(norm):
-            return [[h00, z], [z.conjugate(), h11]], norm
-    return _hermitian_part(a, tol)
 
 
 class EigenSystem(NamedTuple):
@@ -283,25 +273,39 @@ def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
     return EigenSystem(lam, [list(row) for row in zip(*v)])
 
 
-def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
-    """_jacobi for n = 2 on scalars, with the same bits.
+def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem:
+    """eig_hermitian of [[a00, a01], [a10, a11]] on four finite Python complex
+    scalars, with the bits of _jacobi(*_hermitian_part(rows, HERMITICITY_TOL)),
+    signed zeros and exception text included: a defect past the tolerance or
+    an overflow goes to the general code, which raises with its own text.
 
-    Each line is the n = 2 case of _rotate or _canonicalize with the same
-    expressions, operand order and Python types, so signed zeros match too:
-    do not simplify the algebra, not even (1+0j)*c - 0j*uc to c. _rotate's
-    mirror loop is left out because rows p and q are all of a and both are
-    replaced, and its return on a[p][q] == 0 because the test above stops first.
+    Each line is the n = 2 case of _hermitian_part, _rotate, _canonicalize or
+    _pivot_index with the same expressions, operand order and Python types,
+    so signed zeros match too: do not simplify the algebra, not even
+    (1+0j)*c - 0j*uc to c. _rotate's mirror loop is left out because rows p
+    and q are all of a and both are replaced, and its return on
+    a[p][q] == 0 because the convergence test stops first.
     """
-    (a00, a01), (a10, a11) = a
+    # the Hermitian part (a + a^H)/2 and its Frobenius norm
+    y = a10.conjugate()
+    if max(abs(a00 - a00.conjugate()), abs(a01 - y), abs(a11 - a11.conjugate())) <= HERMITICITY_TOL:
+        h00, h01, h11 = (a00 + a00.conjugate()) / 2.0, (a01 + y) / 2.0, (a11 + a11.conjugate()) / 2.0
+        h10 = h01.conjugate()
+        scale = math.hypot(abs(h00), abs(h01), abs(h10), abs(h11))
+    else:
+        scale = math.inf
+    if not math.isfinite(scale):
+        # a defect past the tolerance or an overflow: the general check raises
+        return _jacobi(*_hermitian_part([[a00, a01], [a10, a11]], HERMITICITY_TOL))
     # eigenvector columns (p0, p1) and (q0, q1), starting from the identity
     p0, p1, q0, q1 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     if scale > 0.0:
         for _ in range(_MAX_SWEEPS):
-            mod = abs(a01)
-            if _SQRT2 * math.hypot(mod) <= JACOBI_RELATIVE_TOL * scale:
+            mod = abs(h01)
+            if _SQRT2 * mod <= JACOBI_RELATIVE_TOL * scale:
                 break
-            phase = a01 / mod
-            tau = (a11.real - a00.real) / (2.0 * mod)
+            phase = h01 / mod
+            tau = (h11.real - h00.real) / (2.0 * mod)
             if tau == 0.0:
                 t = 1.0
             else:
@@ -311,27 +315,32 @@ def _jacobi2(a: list[list[complex]], scale: float) -> EigenSystem:
             u = s * phase
             uc = u.conjugate()
             # rows p, q of G^H a, then the (p, q) block of (G^H a) G
-            bpp, bpq = a00 * c - a10 * u, a01 * c - a11 * u
-            bqp, bqq = a00 * uc + a10 * c, a01 * uc + a11 * c
-            a00 = (bpp * c - bpq * uc).real
-            a11 = (bqp * u + bqq * c).real
-            a01 = bpp * u + bpq * c
-            a10 = a01.conjugate()
+            bpp, bpq = h00 * c - h10 * u, h01 * c - h11 * u
+            bqp, bqq = h00 * uc + h10 * c, h01 * uc + h11 * c
+            h00 = (bpp * c - bpq * uc).real
+            h11 = (bqp * u + bqq * c).real
+            h01 = bpp * u + bpq * c
+            h10 = h01.conjugate()
             p0, p1, q0, q1 = p0 * c - q0 * uc, p1 * c - q1 * uc, p0 * u + q0 * c, p1 * u + q1 * c
         else:
             raise ArithmeticError(
                 f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-                f"(dimension 2, residual {_SQRT2 * math.hypot(abs(a01)):.3e})"
+                f"(dimension 2, residual {_SQRT2 * abs(h01):.3e})"
             )
-    lam0, lam1 = a00.real, a11.real
-    # the stable ascending sort, then the pivot order inside the gap
+    lam0, lam1 = h00.real, h11.real
+    # the stable ascending sort
     if lam1 < lam0:
         lam0, lam1, p0, p1, q0, q1 = lam1, lam0, q0, q1, p0, p1
-    pivot_p, pivot_q = _pivot_index((p0, p1)), _pivot_index((q0, q1))
-    if lam1 - lam0 <= max(1e-12, 1e-12 * max(abs(lam0), abs(lam1))) and pivot_q < pivot_p:
+    # _pivot_index of each column: the first component above PIVOT_MODULUS,
+    # else the first largest one
+    mp0, mq0 = abs(p0), abs(q0)
+    pivot_p = mp0 <= PIVOT_MODULUS and abs(p1) > mp0
+    pivot_q = mq0 <= PIVOT_MODULUS and abs(q1) > mq0
+    # the pivot order inside the degeneracy gap
+    if pivot_p and not pivot_q and lam1 - lam0 <= max(1e-12, 1e-12 * max(abs(lam0), abs(lam1))):
         lam0, lam1, p0, p1, q0, q1 = lam1, lam0, q0, q1, p0, p1
         pivot_p, pivot_q = pivot_q, pivot_p
-    # the phase gauge
+    # the phase gauge: make each pivot component real and positive
     anchor = p1 if pivot_p else p0
     mod = abs(anchor)
     if mod > 0.0:
@@ -371,5 +380,5 @@ def eig_hermitian(m) -> EigenSystem:
     if rows is None:
         rows = _square_rows(np.asarray(m, dtype=np.complex128))
     if len(rows) == 2:
-        return _jacobi2(*_hermitian_part2(rows, HERMITICITY_TOL))
+        return _eig2(*rows[0], *rows[1])
     return _jacobi(*_hermitian_part(rows, HERMITICITY_TOL))

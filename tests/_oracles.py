@@ -39,3 +39,73 @@ def heisenberg_z_closed_form(t: float, coupling: float) -> HermitianOperator:
         + (pauli("Z").matrix - pauli("X").matrix) * (0.5 * np.cos(angle))
     )
     return HermitianOperator(m, f"Z(t={t:.12g})")
+
+
+# decimal digits of the Weber-function evaluation
+_LZ_DPS = 30
+
+
+def _pauli_parts(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c, r) with m = c*I + r_x*X + r_y*Y + r_z*Z for a 2x2 Hermitian m."""
+    c = 0.5 * (m[0, 0] + m[1, 1]).real
+    return c, np.array([m[1, 0].real, m[1, 0].imag, 0.5 * (m[0, 0] - m[1, 1]).real])
+
+
+def _pauli_vector(r: np.ndarray) -> np.ndarray:
+    return np.array([[r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], -r[2]]])
+
+
+def landau_zener_propagator(h0, ht, total_time: float) -> np.ndarray:
+    """Exact U(T, 0) of i dv/dt = H(t) v for the linear ramp
+    H(t) = (1 - t/T)*h0 + (t/T)*ht between 2x2 Hermitian matrices.
+
+    H(t) = c(t)*I + (a + u*t).sigma. The scalar part is a global phase. A
+    rotation V taking u to the z axis and the part of a across u to the x
+    axis, and the shift tau = t + (a.u)/|u|^2, turn the vector part into
+    beta*tau*Z + g*X with beta = |u| and g = |a across u|. Its solutions are
+    Weber functions: the upper amplitude is D_nu(+-kappa*tau) with
+    kappa = sqrt(2*beta)*e^{i*pi/4} and nu = -i*g^2/(2*beta), and the lower
+    one follows from the upper row of the equation, with
+    D'_nu(z) = (z/2)*D_nu(z) - D_{nu+1}(z) (Zener, Proc. R. Soc. A 137, 696
+    (1932); Vitanov & Garraway, Phys. Rev. A 53, 4288 (1996)). The
+    propagator is Phi(tau_T) Phi(tau_0)^-1 for the fundamental matrix Phi of
+    the two solutions, evaluated with mpmath.pcfd at _LZ_DPS digits.
+    """
+    import mpmath
+
+    h0, ht = np.asarray(h0, dtype=complex), np.asarray(ht, dtype=complex)
+    c0, a = _pauli_parts(h0)
+    c1, r1 = _pauli_parts(ht)
+    u = (r1 - a) / total_time
+    beta = float(np.linalg.norm(u))
+    if beta <= 1e-12 * float(np.linalg.norm(a)):
+        raise ValueError("beta = 0: the vector part of H(t) does not move; no Landau-Zener sweep")
+    uhat = u / beta
+    across = a - (a @ uhat) * uhat
+    g = float(np.linalg.norm(across))
+    if g <= 1e-12 * max(float(np.linalg.norm(a)), beta * total_time):
+        raise ValueError("g = 0: H(t) commutes with itself at all times; no avoided crossing")
+    # V*(uhat.sigma)*V^H = Z and V*(across/g . sigma)*V^H = X
+    _, w = np.linalg.eigh(_pauli_vector(uhat))
+    v = np.array([w[:, 1].conj(), w[:, 0].conj()])
+    off = (v @ _pauli_vector(across / g) @ v.conj().T)[0, 1]
+    v[1] *= off
+    tau0 = float(a @ uhat) / beta
+    with mpmath.workdps(_LZ_DPS):
+        kappa = mpmath.sqrt(2 * mpmath.mpf(beta)) * mpmath.expjpi(mpmath.mpf(1) / 4)
+        nu = mpmath.mpc(0, -(g**2) / (2 * beta))
+
+        def fundamental(tau):
+            tau = mpmath.mpf(tau)
+            columns = []
+            for sign in (1, -1):
+                z = sign * kappa * tau
+                d = mpmath.pcfd(nu, z)
+                slope = sign * kappa * (z / 2 * d - mpmath.pcfd(nu + 1, z))
+                columns.append((d, (1j * slope - beta * tau * d) / g))
+            return mpmath.matrix([[columns[0][0], columns[1][0]], [columns[0][1], columns[1][1]]])
+
+        rotated = fundamental(tau0 + total_time) * mpmath.inverse(fundamental(tau0))
+        rotated = np.array(rotated.tolist(), dtype=complex)
+    phase = np.exp(-0.5j * total_time * (c0 + c1))
+    return phase * (v.conj().T @ rotated @ v)

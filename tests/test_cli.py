@@ -522,6 +522,11 @@ def _inline(initial=_Z, target=_X, extra=""):
         ("fig1a", ["=x"], None, "bad --set '=x': empty key"),
         ("fig1a", [], str(2**64), f"ADIAPREP_SEED must lie in [0, 2^64), got {2**64}"),
         ("fig1a", [], "-1", "ADIAPREP_SEED must lie in [0, 2^64), got -1"),
+        # an empty inline label would write series_.csv and key summary.json by ""
+        ("fig1a", [f'observables=[{{"label": "", "matrix": {_Z}}}]'], None,
+         "config field 'observables.label': must not be empty"),
+        ("fig1a", [_inline(initial="[1,2]")], None,
+         "config field 'model.initial': matrix rows must be lists (row 0 is 1)"),
     ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(

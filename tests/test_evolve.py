@@ -139,6 +139,26 @@ def test_sweep_hamiltonian2_has_the_bits_of_the_array_expression():
             assert got.tobytes() == ((1.0 - s) * h0 + s * ht).tobytes(), (a, b, s)
 
 
+def test_scale2_has_the_bits_of_the_array_expression():
+    # the split step's (1-s)*H0 and s*H_T, built on scalars for n = 2, must
+    # equal numpy's scalar-times-array products, signed zeros included
+    signed = np.array([[complex(-0.0, 0.0), complex(0.5, -0.0)],
+                       [complex(0.5, 0.0), complex(-1.25, -0.0)]])
+    matrices = [spec.initial.matrix for spec in (model_one(1.0), model_two(np.pi / 4.0))]
+    matrices += [spec.target.matrix for spec in (model_one(1.0), model_two(np.pi / 4.0))]
+    matrices.append(signed)
+    grid = [0.0, 1.0, -0.0]
+    for _, sched in (fig1a_setup(), fig2_setup()):
+        dt = sched.step_width
+        grid += [sched.s(k * dt + 0.5 * dt) for k in range(sched.num_steps)]
+    for h in matrices:
+        rows = h.tolist()
+        for s in grid:
+            for x in (1.0 - s, s):
+                got = np.array(evolve._scale2(x, rows), dtype=complex)
+                assert got.tobytes() == (x * h).tobytes(), (rows, x)
+
+
 def test_run_adiabatic_rejects_unknown_integrator():
     spec, sched = fig1a_setup()
     with pytest.raises(ValueError, match="integrator"):

@@ -331,12 +331,41 @@ def test_eig_on_rows_raises_as_on_the_array(rows):
     assert isinstance(got[0], type) and got == want
 
 
-def _kernel_outcome(kernel, h, scale):
+class _ScaleSpy(float):
+    """A JACOBI_RELATIVE_TOL that records, in hex, each scale the convergence
+    test multiplies it by: the Frobenius norm of the Hermitian part, which
+    the eigensystem alone does not show."""
+
+    def __mul__(self, other):
+        self.seen.append(other.hex())
+        return float(self) * other
+
+
+@pytest.fixture
+def scale_spy(monkeypatch):
+    spy = _ScaleSpy(linalg.JACOBI_RELATIVE_TOL)
+    monkeypatch.setattr(linalg, "JACOBI_RELATIVE_TOL", spy)
+    return spy
+
+
+def _solve_outcome(spy, solve, rows):
+    """Eigensystem bits, or exception type and text, of solve(rows), with the
+    scales its convergence tests saw."""
+    spy.seen = []
     try:
-        es = kernel([row[:] for row in h], scale)
-    except ArithmeticError as exc:
-        return type(exc), str(exc)
-    return es.eigenvalues.tobytes(), es.eigenvectors.tobytes()
+        es = solve(rows)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc), spy.seen
+    return es.eigenvalues.tobytes(), es.eigenvectors.tobytes(), spy.seen
+
+
+def _fused(rows):
+    (a00, a01), (a10, a11) = rows
+    return linalg._eig2(a00, a01, a10, a11)
+
+
+def _general(rows):
+    return linalg._jacobi(*linalg._hermitian_part(rows, linalg.HERMITICITY_TOL))
 
 
 def _two_by_two_cases(rng, per_class):
@@ -383,9 +412,12 @@ def _ramp_cases(spec, points):
 
 
 @pytest.mark.parametrize("max_sweeps, per_class", [(None, 2500), (0, 100), (1, 500), (2, 500)])
-def test_jacobi2_is_bit_identical_to_the_general_kernel(monkeypatch, max_sweeps, per_class):
-    # fewer sweeps than convergence needs makes both kernels raise, and the
-    # messages must match as well
+def test_jacobi2_is_bit_identical_to_the_general_kernel(
+    monkeypatch, scale_spy, max_sweeps, per_class
+):
+    # the fused n = 2 routine against _hermitian_part and _jacobi; fewer
+    # sweeps than convergence needs makes both raise, and the messages must
+    # match as well
     if max_sweeps is not None:
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", max_sweeps)
     cases = _two_by_two_cases(np.random.default_rng(2024), per_class)
@@ -393,9 +425,9 @@ def test_jacobi2_is_bit_identical_to_the_general_kernel(monkeypatch, max_sweeps,
         cases.extend(_ramp_cases(spec, per_class // 2 + 1))
     differ = []
     for m in cases:
-        h, scale = linalg._hermitian_part(linalg._square_rows(m), linalg.HERMITICITY_TOL)
-        fast = _kernel_outcome(linalg._jacobi2, h, scale)
-        if fast != _kernel_outcome(linalg._jacobi, h, scale):
+        rows = linalg._square_rows(m)
+        fast = _solve_outcome(scale_spy, _fused, rows)
+        if fast != _solve_outcome(scale_spy, _general, rows):
             differ.append(m.tolist())
     assert not differ, f"{len(differ)} of {len(cases)} matrices differ, first {differ[0]}"
 
@@ -414,25 +446,22 @@ def test_ramp_is_bit_identical_through_the_general_kernel(monkeypatch, integrato
     fast = run_adiabatic(spec, schedule, integrator)
     general = []
 
-    def route_to_general(a, scale):
-        general.append(len(a))
-        return linalg._jacobi(a, scale)
+    def route_to_general(a00, a01, a10, a11):
+        general.append(2)
+        return _general([[a00, a01], [a10, a11]])
 
-    monkeypatch.setattr(linalg, "_jacobi2", route_to_general)
+    monkeypatch.setattr(linalg, "_eig2", route_to_general)
     slow = run_adiabatic(spec, schedule, integrator)
-    assert general and set(general) == {2}
+    per_step = 2 if integrator == "trotter2" else 1
+    # one more for the initial ground state
+    assert len(general) == per_step * schedule.num_steps + 1
     assert slow.tobytes() == fast.tobytes()
 
 
-def _hermitian_outcome(kernel, m):
-    try:
-        h, norm = kernel(linalg._square_rows(m), linalg.HERMITICITY_TOL)
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-    return np.array(h, dtype=complex).tobytes(), norm.hex()
-
-
-def test_hermitian_part2_matches_the_general_one_in_bits_and_error_text():
+def test_hermitian_part2_matches_the_general_one_in_bits_and_error_text(scale_spy):
+    # the fused n = 2 routine's Hermiticity check, symmetrisation and norm
+    # against _hermitian_part's, through the eigensystem, the exception text
+    # and the scale its convergence test reads
     rng = np.random.default_rng(7)
     cases = _two_by_two_cases(rng, 200)
     # anti-Hermitian residues below, at and past the tolerance
@@ -455,8 +484,9 @@ def test_hermitian_part2_matches_the_general_one_in_bits_and_error_text():
     ]
     raised = 0
     for m in cases:
-        fast = _hermitian_outcome(linalg._hermitian_part2, m)
-        assert fast == _hermitian_outcome(linalg._hermitian_part, m), m.tolist()
+        rows = linalg._square_rows(m)
+        fast = _solve_outcome(scale_spy, _fused, rows)
+        assert fast == _solve_outcome(scale_spy, _general, rows), m.tolist()
         raised += isinstance(fast[0], type)
     assert raised >= 100
 
