@@ -3,12 +3,16 @@
 After the ramp ends the state evolves under the constant target; values are
 recorded on a uniform time grid, exactly and (optionally) as averages of a
 finite number of projective shots drawn from the observable's eigenbasis.
-The hold record is computed over the whole grid at once: one row of a
-(points, dim) array per grid point, with no Python loop per point.
+The hold record is computed in blocks of _HOLD_BLOCK grid points: each block is
+one (points, dim) array with a row per grid point, so memory beyond the
+returned record stays fixed however long the hold, and a Python loop runs per
+block, not per point. Every point gets the bits it would get in a whole-grid
+pass, and the shots continue one stream across blocks.
 """
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -20,6 +24,9 @@ from .model import HermitianOperator, ModelSpec
 __all__ = ["TimeSeries", "hold_series"]
 
 _SEED_MASK = (1 << 64) - 1
+# hold points per block: a power of two, so each block after the first starts
+# at the vector alignment it has in a whole-grid pass
+_HOLD_BLOCK = 1024
 
 
 def _shot_stream(seed: int, label: str) -> np.random.Generator:
@@ -84,9 +91,11 @@ class TimeSeries:
             raise ValueError("a time series needs at least two points")
         if y.shape != t.shape:
             raise ValueError("exact_values shape does not match times")
-        gaps = np.diff(t)
-        if np.any(gaps <= 0.0) or float(np.max(np.abs(gaps - gaps[0]))) > 1e-12:
-            raise ValueError("times must be strictly increasing with uniform spacing")
+        # one block of gaps at a time, so a long record needs no whole-record temporaries
+        for start in range(0, t.shape[0] - 1, _HOLD_BLOCK):
+            gaps = np.diff(t[start : start + _HOLD_BLOCK + 1])
+            if np.any(gaps <= 0.0) or float(np.max(np.abs(gaps - (t[1] - t[0])))) > 1e-12:
+                raise ValueError("times must be strictly increasing with uniform spacing")
         if self.shots_per_point < 0:
             raise ValueError("shots_per_point must be >= 0")
         for name in ("sampled_values", "stderr_values"):
@@ -131,8 +140,8 @@ def hold_series(
         raise ValueError(f"duration must be positive, got {duration!r}")
     if not (np.isfinite(sample_dt) and sample_dt > 0.0):
         raise ValueError(f"sample_dt must be positive, got {sample_dt!r}")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots!r}")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 0:
+        raise ValueError(f"shots must be a nonnegative integer, got {shots!r}")
     v = as_state_vector(v_end)
     if v.shape[0] != spec.dim or observable.dim != spec.dim:
         raise ValueError("state, model, and observable dimensions must agree")
@@ -141,20 +150,26 @@ def hold_series(
         raise ValueError("hold window shorter than one sample interval")
     times = np.arange(n, dtype=np.float64) * sample_dt
     es = eig_hermitian(spec.target.matrix)
-    vectors = es.eigenvectors
+    energies, vectors = es.eigenvalues, es.eigenvectors
     coeff = vectors.conj().T @ v
-    phased = np.exp(-1j * np.outer(times, es.eigenvalues)) * coeff
-    states = _matvec_rows(vectors, phased)
-    values = _dot_rows(states.conj(), _matvec_rows(observable.matrix, states))
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > _residue_tolerance(observable.matrix):
-        raise ArithmeticError(f"expectation has imaginary residue {residue:.3e}")
-    exact = values.real
-
+    exact = np.empty(n)
     sampled = stderr = None
     if shots > 0:
         o_es = eig_hermitian(observable.matrix)
-        sampled, stderr = _sample_means(states, o_es, shots, _shot_stream(seed, observable.label))
+        gen = _shot_stream(seed, observable.label)
+        sampled, stderr = np.empty(n), np.empty(n)
+    residue = 0.0
+    for start in range(0, n, _HOLD_BLOCK):
+        block = slice(start, start + _HOLD_BLOCK)
+        phased = np.exp(-1j * np.outer(times[block], energies)) * coeff
+        states = _matvec_rows(vectors, phased)
+        values = _dot_rows(states.conj(), _matvec_rows(observable.matrix, states))
+        residue = max(residue, float(np.max(np.abs(values.imag))))
+        exact[block] = values.real
+        if shots > 0:
+            sampled[block], stderr[block] = _sample_means(states, o_es, shots, gen)
+    if residue > _residue_tolerance(observable.matrix):
+        raise ArithmeticError(f"expectation has imaginary residue {residue:.3e}")
 
     return TimeSeries(
         times=times,

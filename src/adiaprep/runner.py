@@ -16,7 +16,7 @@ import numpy as np
 from .analyze import diagnose, oscillation_stats, predicted_series
 from .config import ConfigError, ExperimentConfig, _artifact_name
 from .evolve import decompose, run_adiabatic
-from .measure import TimeSeries, hold_series
+from .measure import _HOLD_BLOCK, TimeSeries, hold_series
 from .model import AdiabaticSchedule, ModelSpec
 from .svgplot import line_plot
 
@@ -131,10 +131,14 @@ def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None
     ]
     cells = (series.times, series.exact_values, series.sampled_values, series.stderr_values)
     row = ",".join("" if c is None else FLOAT_FMT for c in cells) + "\n"
-    columns = [c.tolist() for c in cells if c is not None]
+    columns = [c for c in cells if c is not None]
     with path.open("w", encoding="utf-8") as f:
         f.write("\n".join(header) + "\n")
-        f.writelines(row % values for values in zip(*columns))
+        # Python floats for one block of rows at a time: whole-record lists
+        # would cost about 32 B per cell
+        for start in range(0, series.n_points, _HOLD_BLOCK):
+            block = [c[start : start + _HOLD_BLOCK].tolist() for c in columns]
+            f.writelines(row % values for values in zip(*block))
 
 
 def write_artifacts(result: RunResult) -> list[Path]:
@@ -225,6 +229,8 @@ def sweep(
     rows: list[dict] = []
     deviations: dict = {}
     for value in values:
+        if isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"sweep value for {parameter} must be a number, got {value!r}")
         if parameter == "shots":
             # an int is taken as it is: float() rounds one above 2^53
             exact = isinstance(value, int)

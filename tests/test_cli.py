@@ -694,6 +694,18 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
         sweep(cfg, "T", [])
 
 
+def test_sweep_rejects_bool_values(tmp_path):
+    # config_from_dict rejects JSON booleans in these fields; a library caller
+    # must not get True run as 1 shot or T = 1.0 either
+    cfg = config_from_dict(
+        apply_set_overrides(dict(PRESETS["fig2"]), [f"outputs.directory={tmp_path}"])
+    )
+    for parameter, value in (("shots", True), ("T", True), ("dt", np.True_), ("shots", np.False_)):
+        with pytest.raises(ConfigError, match=f"sweep value for {parameter} must be a number"):
+            sweep(cfg, parameter, [value])
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_sweep_verb(tmp_path, capsys):
     out = tmp_path / "cli_sweep"
     code = run_cli(

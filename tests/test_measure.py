@@ -1,8 +1,10 @@
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
+from adiaprep import measure
 from adiaprep.evolve import run_adiabatic
 from adiaprep.linalg import eig_hermitian
 from adiaprep.measure import TimeSeries, _sample_means, _shot_stream, hold_series
@@ -15,6 +17,7 @@ from adiaprep.model import (
     observable_from_label,
     pauli,
 )
+from adiaprep.runner import _write_series_csv
 
 from _oracles import expm_minus_i, heisenberg_z_closed_form, superposition_state
 
@@ -246,10 +249,89 @@ def test_hold_series_validation():
         hold_series(psi, spec, pauli("Z"), 0.0, 0.1, 0, 0)
     with pytest.raises(ValueError, match="sample_dt"):
         hold_series(psi, spec, pauli("Z"), 1.0, -0.1, 0, 0)
-    with pytest.raises(ValueError, match="shots"):
-        hold_series(psi, spec, pauli("Z"), 1.0, 0.1, -1, 0)
+    for shots in (-1, 2.5, 3.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="shots"):
+            hold_series(psi, spec, pauli("Z"), 1.0, 0.1, shots, 0)
+    for shots in (3, np.int64(3), np.uint8(3)):
+        assert hold_series(psi, spec, pauli("Z"), 1.0, 0.1, shots, 0).shots_per_point == 3
     with pytest.raises(ValueError, match="shorter than one sample interval"):
         hold_series(psi, spec, pauli("Z"), 0.04, 0.1, 0, 0)
+
+
+SERIES_FIELDS = ("times", "exact_values", "sampled_values", "stderr_values")
+
+
+def _bits(series):
+    return [None if a is None else a.tobytes() for a in (getattr(series, f) for f in SERIES_FIELDS)]
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hold_series_blocks_keep_every_bit(monkeypatch, dim, shots):
+    rng = np.random.default_rng(21)
+    if dim == 2:
+        spec = model_two(np.pi / 4.0)
+        v, o = superposition_state(spec, 0.3, 0.7), pauli("Z")
+    else:
+        spec = _three_level_spec()
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v, o = v / np.linalg.norm(v), HermitianOperator(_random_hermitian(rng, 3), "O")
+    block = measure._HOLD_BLOCK
+    dt = 1.0 / 16.0
+    for points in (block - 1, block, block + 1, 2 * block + 1):
+        blocked = hold_series(v, spec, o, (points - 1) * dt, dt, shots, 7)
+        assert blocked.n_points == points
+        with monkeypatch.context() as m:
+            m.setattr(measure, "_HOLD_BLOCK", 4 * block)
+            whole = hold_series(v, spec, o, (points - 1) * dt, dt, shots, 7)
+        assert _bits(blocked) == _bits(whole), points
+        assert (blocked.sampled_values is None) == (shots == 0)
+
+
+def test_hold_series_reports_the_largest_residue_of_the_whole_record(monkeypatch):
+    # <v|i*eps*Z|v> = i*eps*<Z> with <Z>(t) = sin(2t - 0.5) for this state: the
+    # residue stays under the 1e-12 tolerance over the first block, peaks at
+    # eps in the second and falls off in the third
+    block = measure._HOLD_BLOCK
+    eps = 1.5e-12
+    spec = model_one(1.0)
+    psi = superposition_state(spec, np.sqrt(0.5), -0.5 - np.pi / 2.0)
+    stand_in = types.SimpleNamespace(label="N", dim=2, matrix=1j * eps * pauli("Z").matrix)
+    dt = 1.1 / (2.0 * block)
+    hold_series(psi, spec, stand_in, (block - 1) * dt, dt, 0, 0)
+    with pytest.raises(ArithmeticError, match="imaginary residue") as blocked:
+        hold_series(psi, spec, stand_in, 2 * block * dt, dt, 0, 0)
+    with monkeypatch.context() as m:
+        m.setattr(measure, "_HOLD_BLOCK", 4 * block)
+        with pytest.raises(ArithmeticError, match="imaginary residue") as whole:
+            hold_series(psi, spec, stand_in, 2 * block * dt, dt, 0, 0)
+    assert str(blocked.value) == str(whole.value)
+    times = np.arange(2 * block + 1) * dt
+    largest = eps * np.max(np.abs(np.sin(2.0 * times - 0.5)))
+    assert np.argmax(np.abs(np.sin(2.0 * times - 0.5))) // block == 1
+    assert str(blocked.value).endswith(f"{largest:.3e}")
+
+
+def test_long_hold_memory_stays_within_a_few_blocks(tmp_path):
+    # the whole-grid record took about 280 B per point beyond the returned
+    # arrays; blocks bound that to what a few blocks take, however long the hold
+    spec = model_one(1.0)
+    psi = superposition_state(spec, 0.2, 0.3)
+    dt = 1.0 / 16.0
+    # first calls allocate caches that later calls reuse: keep them out of the peak
+    warm = hold_series(psi, spec, pauli("Z"), 1.0, dt, 1000, 5)
+    _write_series_csv(tmp_path / "warm.csv", warm, 9.0)
+    tracemalloc.start()
+    try:
+        series = hold_series(psi, spec, pauli("Z"), 100_000 * dt, dt, 1000, 5)
+        _write_series_csv(tmp_path / "long.csv", series, 9.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.n_points == 100_001
+    returned = sum(getattr(series, f).nbytes for f in SERIES_FIELDS)
+    allowance = 4 * measure._HOLD_BLOCK * 256
+    assert peak <= returned + allowance, (peak, returned)
 
 
 def test_heisenberg_z_closed_form_at_zero_is_z():
