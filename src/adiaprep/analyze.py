@@ -164,16 +164,6 @@ def _pick_mean(stats: OscillationStats, estimator: str) -> float:
     return getattr(stats, f"mean_{estimator}")
 
 
-def _pair_elements(spec: ModelSpec, observable: HermitianOperator) -> tuple[float, float, complex]:
-    """(O_gg, O_ee, O_ge) on the target's reference pair, O_xy = <x|O|y>."""
-    if observable.dim != spec.dim:
-        raise ValueError(
-            f"observable {observable.label!r} dimension {observable.dim} != model dimension {spec.dim}"
-        )
-    g, e, o = spec.reference_ground_state, spec.reference_excited_state, observable.matrix
-    return np.vdot(g, o @ g).real, np.vdot(e, o @ e).real, np.vdot(g, o @ e)
-
-
 def diagnose(
     stats: OscillationStats,
     spec: ModelSpec,
@@ -190,7 +180,7 @@ def diagnose(
     or shot noise, scaled by O_gg^2 (1 if O_gg = 0), and reports beta_sq 0.
     """
     tol = _residue_tolerance(observable.matrix)
-    o_gg, o_ee, o_ge = (0.0 if abs(x) <= tol else x for x in _pair_elements(spec, observable))
+    o_gg, o_ee, o_ge = (0.0 if abs(x) <= tol else x for x in spec.pair_elements(observable))
     variance = _effective_variance(stats.variance, noise_floor)
     if o_ge:
         alpha_beta_sq = variance / (2.0 * abs(o_ge) ** 2)
@@ -228,9 +218,9 @@ def predicted_series(
     The state a|g> + b*e^{-i*theta}|e> held under the target gives
     a^2*O_gg + b^2*O_ee + 2ab*Re(e^{-i(w*t + theta)}*O_ge), O_xy = <x|O|y>.
     """
-    o_gg, o_ee, o_ge = _pair_elements(spec, observable)
+    o_gg, o_ee, o_ge = spec.pair_elements(observable)
     a, b = decomposition.alpha_mod, decomposition.beta_mod
     t = np.asarray(times, dtype=np.float64)
-    phase = spec.oscillation_angular_frequency() * t + decomposition.theta
+    phase = spec.oscillation_angular_frequency * t + decomposition.theta
     y = a * a * o_gg + b * b * o_ee + 2.0 * a * b * (np.exp(-1j * phase) * o_ge).real
     return TimeSeries(t, y, None, None, 0, f"{observable.label} (predicted)")

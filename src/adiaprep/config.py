@@ -260,11 +260,9 @@ class ExperimentConfig:
         return ModelSpec(
             initial=initial,
             target=target,
-            coupling=self.coupling,
             observables=(),
             reference_ground_state=vectors[:, 0],
             reference_excited_state=vectors[:, 1],
-            kind=None,
         )
 
     @staticmethod
@@ -280,6 +278,7 @@ class ExperimentConfig:
             label = entry["label"]
             _require(isinstance(label, str), "observables.label", f"must be a string (got {label!r})")
             _require(label != "", "observables.label", "must not be empty")
+            _require(label.isprintable(), "observables.label", f"must be printable (got {label!r})")
             op = HermitianOperator(_matrix_from_json(entry["matrix"], "observables.matrix"), label)
         else:
             raise ConfigError(f"config field 'observables': bad entry {entry!r}")

@@ -1,8 +1,11 @@
 """Hamiltonians, observables, and the linear ramp between them.
 
 The sweep Hamiltonian is H(s) = (1-s)*H_initial + s*H_target with s = t/T.
-Two single-qubit benchmark models are built in: a bit-flip target (-J*X) and
-a Hadamard-type target (-J*H) whose ground state is not a Pauli eigenstate.
+A ModelSpec carries the target's reference ground/excited pair, gives any
+operator's elements O_gg, O_ee and O_ge on it, and states the frequency
+E_e - E_g at which a state held on that pair beats. Two single-qubit
+benchmark models are built in: a bit-flip target (-J*X) and a Hadamard-type
+target (-J*H) whose ground state is not a Pauli eigenstate.
 """
 
 from __future__ import annotations
@@ -109,22 +112,22 @@ class AdiabaticSchedule:
 class ModelSpec:
     """A preparation problem: initial and target Hamiltonians, observables,
     and the target's reference ground/excited pair used for diagnosis.
+    pair_elements gives any operator's elements on that pair.
 
-    kind is "model1"/"model2" for the built-ins and None for custom specs;
-    built-ins use the closed-form oscillation frequency 2*J.
+    oscillation_angular_frequency is the beat of a held a|g> + b|e>, the
+    reference splitting E_e - E_g. Left as None it is that splitting; a
+    stated value (the built-ins' closed form 2*J) must agree with it to
+    1e-12 relative.
     """
 
     initial: HermitianOperator
     target: HermitianOperator
-    coupling: float
     observables: tuple[HermitianOperator, ...]
     reference_ground_state: np.ndarray
     reference_excited_state: np.ndarray
-    kind: str | None = None
+    oscillation_angular_frequency: float | None = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.coupling) and self.coupling > 0.0):
-            raise ValueError(f"coupling must be positive, got {self.coupling!r}")
         dim = self.target.dim
         if dim < 2:
             raise ValueError("target must act on at least a two-level system")
@@ -144,63 +147,66 @@ class ModelSpec:
         overlap = abs(np.vdot(g, e))
         if overlap > 1e-10:
             raise ValueError(f"reference states are not orthogonal (|<g|e>| = {overlap:.3e})")
-        for name, vec in (("ground", g), ("excited", e)):
-            energy = np.vdot(vec, self.target.matrix @ vec).real
+        g.setflags(write=False)
+        e.setflags(write=False)
+        object.__setattr__(self, "reference_ground_state", g)
+        object.__setattr__(self, "reference_excited_state", e)
+        e_gg, e_ee = map(float, self.pair_elements(self.target)[:2])
+        for name, vec, energy in (("ground", g, e_gg), ("excited", e, e_ee)):
             residual = float(np.linalg.norm(self.target.matrix @ vec - energy * vec))
             if residual > 1e-10:
                 raise ValueError(
                     f"reference {name} state is not a target eigenvector (residual {residual:.3e})"
                 )
-        if self.ground_energy >= self.excited_energy:
+        if e_gg >= e_ee:
             raise ValueError(
-                f"reference ground energy {self.ground_energy!r} is not below "
-                f"the excited energy {self.excited_energy!r}"
+                f"reference ground energy {e_gg!r} is not below the excited energy {e_ee!r}"
             )
-        g.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "reference_ground_state", g)
-        object.__setattr__(self, "reference_excited_state", e)
+        splitting = e_ee - e_gg
+        stated = self.oscillation_angular_frequency
+        if stated is None:
+            object.__setattr__(self, "oscillation_angular_frequency", splitting)
+        elif not abs(stated - splitting) <= 1e-12 * splitting:
+            raise ValueError(
+                f"oscillation_angular_frequency {stated!r} is not the reference "
+                f"splitting {splitting!r}"
+            )
 
     @property
     def dim(self) -> int:
         return self.target.dim
 
+    def pair_elements(self, operator: HermitianOperator) -> tuple[float, float, complex]:
+        """(O_gg, O_ee, O_ge) on the reference pair, O_xy = <x|O|y>."""
+        if operator.dim != self.dim:
+            raise ValueError(
+                f"observable {operator.label!r} dimension {operator.dim} != model dimension {self.dim}"
+            )
+        g, e, o = self.reference_ground_state, self.reference_excited_state, operator.matrix
+        return np.vdot(g, o @ g).real, np.vdot(e, o @ e).real, np.vdot(g, o @ e)
+
     @property
     def ground_energy(self) -> float:
-        g = self.reference_ground_state
-        return float(np.vdot(g, self.target.matrix @ g).real)
+        return float(self.pair_elements(self.target)[0])
 
     @property
     def excited_energy(self) -> float:
-        e = self.reference_excited_state
-        return float(np.vdot(e, self.target.matrix @ e).real)
-
-    def oscillation_angular_frequency(self) -> float:
-        """Angular frequency of residual-excitation beats during the hold.
-
-        Exactly 2*J for the built-in models; the reference level splitting
-        otherwise.
-        """
-        if self.kind in BUILTIN_MODELS:
-            return 2.0 * self.coupling
-        return self.excited_energy - self.ground_energy
+        return float(self.pair_elements(self.target)[1])
 
 
-def _builtin_model(
-    kind: str, coupling: float, target: str, ground: np.ndarray, excited: np.ndarray
-) -> ModelSpec:
-    """Ramp -J*Z into -J*target, with the target's closed-form reference pair."""
+def _builtin_model(coupling: float, target: str, ground: np.ndarray, excited: np.ndarray) -> ModelSpec:
+    """Ramp -J*Z into -J*target, with the target's closed-form reference pair
+    and beat frequency 2*J."""
     if not (np.isfinite(coupling) and coupling > 0.0):
         raise ValueError(f"coupling must be positive, got {coupling!r}")
     j = float(coupling)
     return ModelSpec(
         initial=HermitianOperator(-j * _PAULI["Z"], "-J*Z"),
         target=HermitianOperator(-j * _PAULI[target], f"-J*{target}"),
-        coupling=j,
         observables=(),
         reference_ground_state=ground,
         reference_excited_state=excited,
-        kind=kind,
+        oscillation_angular_frequency=2.0 * j,
     )
 
 
@@ -212,7 +218,7 @@ def model_one(coupling: float) -> ModelSpec:
     """
     plus = np.array([1.0, 1.0], dtype=np.complex128) / _SQRT2
     minus = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
-    return _builtin_model("model1", coupling, "X", plus, minus)
+    return _builtin_model(coupling, "X", plus, minus)
 
 
 def model_two(coupling: float) -> ModelSpec:
@@ -224,8 +230,8 @@ def model_two(coupling: float) -> ModelSpec:
     """
     ground = np.array([1.0, _SQRT2 - 1.0], dtype=np.complex128) / np.sqrt(4.0 - 2.0 * _SQRT2)
     excited = np.array([1.0, -(_SQRT2 + 1.0)], dtype=np.complex128) / np.sqrt(4.0 + 2.0 * _SQRT2)
-    return _builtin_model("model2", coupling, "H", ground, excited)
+    return _builtin_model(coupling, "H", ground, excited)
 
 
-# the built-in models by config name; a spec's kind is its name here
+# the built-in models by config name
 BUILTIN_MODELS = {"model1": model_one, "model2": model_two}

@@ -64,7 +64,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     prepared = run_adiabatic(spec, schedule, cfg.integrator)
     decomposition = decompose(prepared, spec)
-    omega = spec.oscillation_angular_frequency()
+    omega = spec.oscillation_angular_frequency
     channels = ("exact", "sampled") if cfg.shots > 0 else ("exact",)
 
     series_map: dict[str, TimeSeries] = {}

@@ -12,12 +12,17 @@ import pytest
 
 from adiaprep.analyze import diagnose, oscillation_stats
 from adiaprep.config import PRESETS, config_from_dict
-from adiaprep.evolve import run_adiabatic
+from adiaprep.evolve import initial_state, run_adiabatic
 from adiaprep.measure import TimeSeries, hold_series
 from adiaprep.model import AdiabaticSchedule, model_one, model_two, pauli
 from adiaprep.runner import run_and_write, run_experiment
 
-from _oracles import expm_minus_i, heisenberg_z_closed_form, superposition_state
+from _oracles import (
+    expm_minus_i,
+    heisenberg_z_closed_form,
+    landau_zener_propagator,
+    superposition_state,
+)
 
 
 @pytest.fixture
@@ -52,8 +57,8 @@ def test_criterion_1_heisenberg_closed_form(report):
 def test_criterion_2_closed_form_hold_series(report):
     rng = np.random.default_rng(7)
     worst = 0.0
-    for spec in (model_one(1.0), model_two(np.pi / 4.0)):
-        j = spec.coupling
+    for factory, j in ((model_one, 1.0), (model_two, np.pi / 4.0)):
+        spec = factory(j)
         period = np.pi / j
         sample_dt = period / 32.0
         for _ in range(5):
@@ -65,7 +70,7 @@ def test_criterion_2_closed_form_hold_series(report):
             )
             ab = np.sqrt(beta_sq * (1.0 - beta_sq))
             beat = np.cos(2.0 * j * series.times + theta)
-            if spec.kind == "model1":
+            if factory is model_one:
                 predicted = 2.0 * ab * beat
             else:
                 predicted = (1.0 - 2.0 * beta_sq) / np.sqrt(2.0) + np.sqrt(2.0) * ab * beat
@@ -118,8 +123,8 @@ def test_criterion_4_flip_model_reproduction(report):
 
 def test_criterion_5_integrator_order(report):
     spec = model_two(np.pi / 4.0)
-    # one shared reference, 64x finer than the finest split step
-    reference = run_adiabatic(spec, AdiabaticSchedule(36.0, 1.0 / 3072.0), "exact-midpoint")
+    # one shared reference: the exact Landau-Zener propagator of the ramp
+    reference = landau_zener_propagator(spec.initial.matrix, spec.target.matrix, 36.0) @ initial_state(spec)
     deviations = []
     for denominator in (12.0, 24.0, 48.0):
         coarse = run_adiabatic(spec, AdiabaticSchedule(36.0, 1.0 / denominator), "trotter2")

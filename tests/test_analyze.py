@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adiaprep.analyze import OscillationStats, diagnose, oscillation_stats, predicted_series
-from adiaprep.config import config_from_dict, preset_dict
+from adiaprep.config import config_from_dict, load_config_file, preset_dict
 from adiaprep.evolve import ResidualDecomposition, decompose
 from adiaprep.measure import TimeSeries, hold_series
 from adiaprep.model import HermitianOperator, model_one, model_two, observable_from_label, pauli
@@ -338,16 +340,8 @@ def _beside_seeded_block(top, rng):
     return _json_matrix(m)
 
 
-THREE_LEVEL = {
-    "model": {
-        "initial": [[-1, 0, 0], [0, 1, 0], [0, 0, 4]],
-        "target": [[0, -1, 0], [-1, 0, 0], [0, 0, 4]],
-    },
-    "observables": [
-        {"label": "A", "matrix": [[1, [0.5, -0.2], 0.3], [[0.5, 0.2], -0.5, 0], [0.3, 0, 2]]},
-        {"label": "B", "matrix": [[0.2, [0, -1], [0, 0.2]], [[0, 1], 0.2, 0.1], [[0, -0.2], 0.1, -1]]},
-    ],
-}
+# CI's 3x3 inline config, with its own grid and observables A, B and D
+THREE_LEVEL = load_config_file(Path(__file__).parent / "data" / "inline3.json")
 
 
 def _wide_inline():
@@ -377,7 +371,7 @@ def _wide_inline():
     ids=["fig1a-Z", "fig1b-minusX", "fig2-Z", "model1-Y", "inline-3x3", "inline-8x8"],
 )
 def test_every_observable_gets_a_prediction_that_matches_its_record(preset, overrides):
-    data = {**preset_dict(preset), "shots": 0, **overrides}
+    data = {**preset_dict(preset), **overrides, "shots": 0}
     data["outputs"] = {"directory": "unused", "csv": False, "json": False, "svg": False}
     result = run_experiment(config_from_dict(data))
     assert result.predictions.keys() == result.series.keys()
@@ -410,7 +404,7 @@ def test_diagnose_recovers_the_weight_for_any_observable(model, seed, b_sq, thet
     m = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
     observable = HermitianOperator((m + m.conj().T) / 2.0, "O")
     decomposition = ResidualDecomposition(np.sqrt(1.0 - b_sq), np.sqrt(b_sq), theta, b_sq)
-    omega = spec.oscillation_angular_frequency()
+    omega = spec.oscillation_angular_frequency
     times = np.arange(4 * 32 + 1) * (2.0 * np.pi / omega / 32)
     series = predicted_series(decomposition, spec, times, observable)
     diag = diagnose(oscillation_stats(series, omega), spec, observable)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from adiaprep.config import (
 )
 from adiaprep.evolve import run_adiabatic
 from adiaprep.runner import run_experiment, sweep
+
+# CI's 3x3 inline config
+INLINE3 = Path(__file__).parent / "data" / "inline3.json"
 
 # frozen from reference runs of the Hadamard-model ramp on the fig2 grid
 BETA_SQ_T_4_5 = 6.713687e-05
@@ -375,22 +379,14 @@ def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
 def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):
     # D's reference-pair block is model1's Z, but <g|D|g> = <e|D|e> is rounding
     # (-2.2e-17), which must count as zero
-    grid = {"coupling": 1.0, "total_time": 18.0, "step_width": 0.125,
-            "hold_duration": 12.0, "sample_dt": 0.0625, "shots": 0, "seed": 5}
-    inline = {
-        **grid,
-        "model": {
-            "initial": [[-1, 0, 0], [0, 1, 0], [0, 0, 4]],
-            "target": [[0, -1, 0], [-1, 0, 0], [0, 0, 4]],
-        },
-        "observables": [{"label": "D", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0.5]]}],
-    }
-    flip = {**grid, "model": "model1", "observables": ["Z"]}
+    config = ["--config", str(INLINE3), "--set", "shots=0"]
     diagnoses = {}
-    for name, cfg, label in (("inline", inline, "D"), ("flip", flip, "Z")):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    for name, overrides, label in (
+        ("inline", ['observables=[{"label": "D", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0.5]]}]'], "D"),
+        ("flip", ["model=model1", 'observables=["Z"]'], "Z"),
+    ):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert run_cli(["run", *config, *sets, "--out", str(tmp_path / name)]) == 0
         summary = json.loads((tmp_path / name / "summary.json").read_text())
         diagnoses[name] = summary["observables"][label]["diagnosis_exact"]
     inline_diag, flip_diag = diagnoses["inline"], diagnoses["flip"]
@@ -527,6 +523,9 @@ def _inline(initial=_Z, target=_X, extra=""):
          "config field 'observables.label': must not be empty"),
         ("fig1a", [_inline(initial="[1,2]")], None,
          "config field 'model.initial': matrix rows must be lists (row 0 is 1)"),
+        # a line break in a label would split the CSV's "# observable" comment
+        ("fig1a", [f'observables=[{{"label": "Z\\nt,exact", "matrix": {_Z}}}]'], None,
+         "config field 'observables.label': must be printable (got 'Z\\nt,exact')"),
     ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(

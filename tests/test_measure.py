@@ -202,7 +202,6 @@ def _three_level_spec():
     return ModelSpec(
         HermitianOperator(np.diag([-1.0, 0.0, 1.0]).astype(complex), "H0"),
         HermitianOperator(target, "HT"),
-        1.0,
         (),
         vecs[:, 0],
         vecs[:, 1],

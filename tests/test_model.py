@@ -56,7 +56,6 @@ def test_hermitian_operator_matrix_is_frozen():
 
 def test_model_one_structure():
     spec = model_one(1.0)
-    assert spec.kind == "model1"
     assert np.array_equal(spec.initial.matrix, -pauli("Z").matrix)
     assert np.array_equal(spec.target.matrix, -pauli("X").matrix)
     plus = np.array([1.0, 1.0]) / SQRT2
@@ -71,7 +70,6 @@ def test_model_one_structure():
 
 def test_model_two_reference_states():
     spec = model_two(np.pi / 4.0)
-    assert spec.kind == "model2"
     ground = np.array([1.0, SQRT2 - 1.0]) / np.sqrt(4.0 - 2.0 * SQRT2)
     excited = np.array([1.0, -(SQRT2 + 1.0)]) / np.sqrt(4.0 + 2.0 * SQRT2)
     assert np.allclose(spec.reference_ground_state, ground, atol=1e-15)
@@ -91,8 +89,44 @@ def test_models_reject_nonpositive_coupling(factory):
 
 
 def test_oscillation_frequency_is_twice_coupling_for_builtins():
-    assert model_one(1.0).oscillation_angular_frequency() == 2.0
-    assert model_two(np.pi / 4).oscillation_angular_frequency() == pytest.approx(np.pi / 2)
+    # the closed form, exactly, not the splitting the reference energies give
+    assert model_one(1.0).oscillation_angular_frequency == 2.0
+    assert model_two(np.pi / 4).oscillation_angular_frequency == np.pi / 2
+
+
+def _flip_spec(**frequency):
+    # a custom spec whose target -0.25*X beats at 0.5, stated or not
+    plus = np.array([1.0, 1.0], dtype=complex) / SQRT2
+    minus = np.array([1.0, -1.0], dtype=complex) / SQRT2
+    initial = HermitianOperator(-pauli("Z").matrix, "-Z")
+    target = HermitianOperator(-0.25 * pauli("X").matrix, "-X/4")
+    return ModelSpec(initial, target, (), plus, minus, **frequency)
+
+
+def test_oscillation_frequency_defaults_to_the_reference_splitting():
+    assert _flip_spec().oscillation_angular_frequency == 0.4999999999999999
+    assert _flip_spec(oscillation_angular_frequency=0.5).oscillation_angular_frequency == 0.5
+
+
+@pytest.mark.parametrize("stated", [2.0, 0.5 * (1.0 + 1e-11), float("nan")])
+def test_model_spec_rejects_a_frequency_off_the_reference_splitting(stated):
+    with pytest.raises(ValueError) as err:
+        _flip_spec(oscillation_angular_frequency=stated)
+    assert str(err.value) == (
+        f"oscillation_angular_frequency {stated!r} is not the reference splitting 0.4999999999999999"
+    )
+
+
+def test_pair_elements_of_z_on_the_hadamard_reference_pair():
+    # O_gg = -O_ee = |O_ge| = 1/sqrt(2), and the target's own are the energies
+    spec = model_two(np.pi / 4.0)
+    o_gg, o_ee, o_ge = spec.pair_elements(pauli("Z"))
+    assert o_gg == pytest.approx(1.0 / SQRT2, abs=1e-15)
+    assert o_ee == pytest.approx(-1.0 / SQRT2, abs=1e-15)
+    assert abs(o_ge) == pytest.approx(1.0 / SQRT2, abs=1e-15)
+    e_gg, e_ee, e_ge = spec.pair_elements(spec.target)
+    assert (e_gg, e_ee) == (spec.ground_energy, spec.excited_energy)
+    assert abs(e_ge) < 1e-15
 
 
 def test_oscillation_frequency_for_custom_spec_uses_level_splitting():
@@ -105,8 +139,8 @@ def test_oscillation_frequency_for_custom_spec_uses_level_splitting():
     ground[0] = 1.0
     excited = np.zeros(4, dtype=complex)
     excited[1] = 1.0
-    spec = ModelSpec(h0, ht, 1.0, (), ground, excited)
-    assert spec.oscillation_angular_frequency() == pytest.approx(1.0)
+    spec = ModelSpec(h0, ht, (), ground, excited)
+    assert spec.oscillation_angular_frequency == 1.0
 
 
 def test_model_spec_rejects_non_eigenvector_references():
@@ -116,7 +150,6 @@ def test_model_spec_rejects_non_eigenvector_references():
         ModelSpec(
             HermitianOperator(-pauli("Z").matrix, "-Z"),
             HermitianOperator(-pauli("X").matrix, "-X"),
-            1.0,
             (),
             up,
             down,
@@ -129,7 +162,6 @@ def test_model_spec_rejects_swapped_ground_and_excited():
         ModelSpec(
             spec.initial,
             spec.target,
-            1.0,
             (),
             spec.reference_excited_state,
             spec.reference_ground_state,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import subprocess
@@ -27,7 +28,7 @@ EXPORTS = {
 
 # removed helpers and options; none may come back as an export or attribute
 REMOVED = {
-    "analyze": ("diagnose_anticommuting", "diagnose_general"),
+    "analyze": ("diagnose_anticommuting", "diagnose_general", "_pair_elements"),
     "linalg": ("apply", "hermiticity_defect", "expm_minus_i"),
     "evolve": ("evolve_exact", "trotter2_step", "exact_midpoint_step", "superposition_state"),
     "measure": (
@@ -59,6 +60,13 @@ def test_removed_names_are_gone():
             assert name not in adiaprep.__all__ and not hasattr(adiaprep, name), name
     assert not hasattr(adiaprep.HermitianOperator, "negated")
     assert not hasattr(adiaprep.ModelSpec, "observable")
+    # the beat frequency is a field, no longer picked by a kind tag from a coupling
+    assert [f.name for f in dataclasses.fields(adiaprep.ModelSpec)] == [
+        "initial", "target", "observables", "reference_ground_state",
+        "reference_excited_state", "oscillation_angular_frequency",
+    ]
+    assert not hasattr(adiaprep.model_one(1.0), "kind")
+    assert not hasattr(adiaprep.model_one(1.0), "coupling")
     assert not hasattr(adiaprep.EigenSystem, "dim")
 
 

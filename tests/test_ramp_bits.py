@@ -7,25 +7,18 @@ stated bound.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adiaprep.config import config_from_dict, preset_config
+from adiaprep.config import config_from_dict, load_config_file, preset_config
 from adiaprep.evolve import run_adiabatic
 from adiaprep.model import AdiabaticSchedule
 from adiaprep.runner import sweep
 
-# CI's 3x3 inline model; the observable does not enter the ramp
-INLINE3 = {
-    "model": {
-        "initial": [[-1, 0, 0], [0, 1, 0], [0, 0, 4]],
-        "target": [[0, -1, 0], [-1, 0, 0], [0, 0, 4]],
-    },
-    "coupling": 1.0, "total_time": 18.0, "step_width": 0.125,
-    "hold_duration": 12.0, "sample_dt": 0.0625, "shots": 1000, "seed": 5,
-    "observables": [{"label": "D", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0.5]]}],
-}
+# CI's 3x3 inline model; its observables do not enter the ramp
+INLINE3 = Path(__file__).parent / "data" / "inline3.json"
 
 # (config, total_time, integrator) -> final state
 FINAL_STATES = {
@@ -84,7 +77,7 @@ FIG2_TROTTER_DEVIATION = {4.5: 4.0977244175397869e-05, 9.0: 3.3673033425737222e-
 
 
 def _config(name, total_time):
-    cfg = config_from_dict(INLINE3) if name == "inline3" else preset_config(name)
+    cfg = config_from_dict(load_config_file(INLINE3)) if name == "inline3" else preset_config(name)
     return replace(cfg, total_time=total_time)
 
 
