@@ -61,6 +61,34 @@ class OscillationStats:
             )
 
 
+class _HoldGridError(ValueError):
+    """A hold record too coarse or too short to show the beat; field names
+    the config field that sets it."""
+
+    def __init__(self, message: str, field: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def _beat_window(spacing: float, span: float, angular_frequency: float) -> tuple[float, int]:
+    """Samples per beat period and whole beat periods in a record of this
+    spacing and span. Fewer than MIN_SAMPLES_PER_PERIOD samples per period
+    alias the beat, and less than one period has no window."""
+    period = 2.0 * np.pi / angular_frequency
+    per_period = period / spacing
+    if per_period < MIN_SAMPLES_PER_PERIOD - 1e-9:
+        raise _HoldGridError(
+            f"{per_period:.3g} samples per period; need at least {MIN_SAMPLES_PER_PERIOD}",
+            "sample_dt",
+        )
+    periods = int(np.floor(span / period + 1e-9))
+    if periods < 1:
+        raise _HoldGridError(
+            f"record spans {span / period:.3g} periods; need at least one", "hold_duration"
+        )
+    return per_period, periods
+
+
 def oscillation_stats(
     series: TimeSeries,
     angular_frequency: float,
@@ -84,17 +112,8 @@ def oscillation_stats(
     else:
         raise ValueError(f"channel must be 'exact' or 'sampled', got {channel!r}")
 
-    h = series.spacing
-    period = 2.0 * np.pi / angular_frequency
-    per_period = period / h
-    if per_period < MIN_SAMPLES_PER_PERIOD - 1e-9:
-        raise ValueError(
-            f"{per_period:.3g} samples per period; need at least {MIN_SAMPLES_PER_PERIOD}"
-        )
     span = float(series.times[-1] - series.times[0])
-    periods = int(np.floor(span / period + 1e-9))
-    if periods < 1:
-        raise ValueError(f"record spans {span / period:.3g} periods; need at least one")
+    per_period, periods = _beat_window(series.spacing, span, angular_frequency)
     # half-open window [0, periods*period): commensurate grids sum whole
     # cosine periods exactly, which is what makes the variance identity exact
     q = int(np.floor(periods * per_period + 1e-9))

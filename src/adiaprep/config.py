@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyze import MEAN_ESTIMATORS
+from .analyze import MEAN_ESTIMATORS, _beat_window, _HoldGridError
 from .evolve import INTEGRATORS
 from .model import (
     BUILTIN_MODELS,
@@ -210,7 +210,8 @@ class ExperimentConfig:
         return float(self.step_width if self.sample_dt is None else self.sample_dt)
 
     def build_model(self) -> ModelSpec:
-        """Resolve the model plus configured observables into a ModelSpec."""
+        """Resolve the model plus configured observables into a ModelSpec,
+        once the hold grid can show its beat."""
         try:
             if isinstance(self.model, str):
                 base = BUILTIN_MODELS[self.model](self.coupling)
@@ -238,6 +239,13 @@ class ExperimentConfig:
                 "observables",
                 f"labels {first!r} and {label!r} share the artifact name {name}",
             )
+        # the spacing and span of the grid hold_series lays out
+        dt = self.sample_dt_resolved
+        span = round(self.hold_duration / dt) * dt
+        try:
+            _beat_window(dt, span, base.oscillation_angular_frequency)
+        except _HoldGridError as exc:
+            raise ConfigError(f"config field {exc.field!r}: {exc}") from exc
         return replace(base, observables=resolved)
 
     def _build_inline_model(self) -> ModelSpec:

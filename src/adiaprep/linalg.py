@@ -20,14 +20,20 @@ a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4). The cost grows with n^3 per
 sweep; at n=64 a call takes about 1.3 s.
 
 n=2, the dimension of every built-in model, goes to _eig2 once the rows
-pass the checks every size does: one routine on the four entries that runs
-the Hermiticity check, symmetrisation, sweeps, rotations and canonical form
-written out on scalars. It must return the bits of the general code,
-signed zeros and exception text included; a defect past the tolerance or
-an overflow goes to the general check, so its message is the same. Tests
-compare the two on more than 20,000 matrices. A 2x2 call costs about
-4-6.5 us on rows and 5-8 us on an array. The ramp and the hold apply
-eigensystems themselves.
+pass the checks every size does. It runs the Hermiticity check and
+symmetrisation of the general code on the four entries; a defect past the
+tolerance or an overflow goes to the general check, so its message is the
+same. Then one Jacobi rotation diagonalises the 2x2 matrix exactly, and
+Rutishauser's update gives its diagonal, h00 - t|h01| and h11 + t|h01|
+(Numer. Math. 9, 1-10, 1966), followed by the same canonical form. A matrix
+whose off-diagonal is below the convergence threshold, every (1-s)*H0 of a
+built-in ramp among them, is taken as diagonal with the bits of the general
+code. Elsewhere the eigenvalues differ from the general code's by a few ulp
+of the matrix norm (the general code, which forms G^H A G in complex
+arithmetic, is the less accurate of the two) and the eigenvectors by a few
+eps; tests compare the two on more than 20,000 matrices. A dense 2x2 call
+costs about 3.5-4.5 us on rows and 4.5-5.5 us on an array. The ramp and the
+hold apply eigensystems themselves.
 """
 
 from __future__ import annotations
@@ -227,8 +233,9 @@ def _canonicalize(
     lam = [lam[k] for k in order]
     v = [v[k] for k in order]
     # reorder degenerate groups by the pivot index so column order does not
-    # depend on rotation history
-    gap = max(1e-12, 1e-12 * max(map(abs, lam)))
+    # depend on rotation history; the gap is relative to the largest
+    # eigenvalue modulus, so a matrix scaled by any power of 2 keeps its order
+    gap = 1e-12 * max(map(abs, lam))
     i = 0
     while i < n:
         j = i + 1
@@ -275,59 +282,43 @@ def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
 
 def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem:
     """eig_hermitian of [[a00, a01], [a10, a11]] on four finite Python complex
-    scalars, with the bits of _jacobi(*_hermitian_part(rows, HERMITICITY_TOL)),
-    signed zeros and exception text included: a defect past the tolerance or
-    an overflow goes to the general code, which raises with its own text.
+    scalars, in closed form: one Jacobi rotation diagonalises a 2x2 Hermitian
+    matrix exactly, and Rutishauser's update gives its diagonal.
 
-    Each line is the n = 2 case of _hermitian_part, _rotate, _canonicalize or
-    _pivot_index with the same expressions, operand order and Python types,
-    so signed zeros match too: do not simplify the algebra, not even
-    (1+0j)*c - 0j*uc to c. _rotate's mirror loop is left out because rows p
-    and q are all of a and both are replaced, and its return on
-    a[p][q] == 0 because the convergence test stops first.
+    The Hermiticity check and symmetrisation are _hermitian_part's for n = 2,
+    and a defect past the tolerance or an overflow goes to the general code,
+    which raises with its own text. Below the convergence threshold the
+    matrix is taken as diagonal, as _jacobi takes it, with the same bits.
     """
     # the Hermitian part (a + a^H)/2 and its Frobenius norm
     y = a10.conjugate()
     if max(abs(a00 - a00.conjugate()), abs(a01 - y), abs(a11 - a11.conjugate())) <= HERMITICITY_TOL:
         h00, h01, h11 = (a00 + a00.conjugate()) / 2.0, (a01 + y) / 2.0, (a11 + a11.conjugate()) / 2.0
-        h10 = h01.conjugate()
-        scale = math.hypot(abs(h00), abs(h01), abs(h10), abs(h11))
+        mod = abs(h01)
+        # h10 = conj(h01) has the same modulus
+        scale = math.hypot(abs(h00), mod, mod, abs(h11))
     else:
         scale = math.inf
     if not math.isfinite(scale):
         # a defect past the tolerance or an overflow: the general check raises
         return _jacobi(*_hermitian_part([[a00, a01], [a10, a11]], HERMITICITY_TOL))
-    # eigenvector columns (p0, p1) and (q0, q1), starting from the identity
-    p0, p1, q0, q1 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    if scale > 0.0:
-        for _ in range(_MAX_SWEEPS):
-            mod = abs(h01)
-            if _SQRT2 * mod <= JACOBI_RELATIVE_TOL * scale:
-                break
-            phase = h01 / mod
-            tau = (h11.real - h00.real) / (2.0 * mod)
-            if tau == 0.0:
-                t = 1.0
-            else:
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            u = s * phase
-            uc = u.conjugate()
-            # rows p, q of G^H a, then the (p, q) block of (G^H a) G
-            bpp, bpq = h00 * c - h10 * u, h01 * c - h11 * u
-            bqp, bqq = h00 * uc + h10 * c, h01 * uc + h11 * c
-            h00 = (bpp * c - bpq * uc).real
-            h11 = (bqp * u + bqq * c).real
-            h01 = bpp * u + bpq * c
-            h10 = h01.conjugate()
-            p0, p1, q0, q1 = p0 * c - q0 * uc, p1 * c - q1 * uc, p0 * u + q0 * c, p1 * u + q1 * c
-        else:
-            raise ArithmeticError(
-                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-                f"(dimension 2, residual {_SQRT2 * abs(h01):.3e})"
-            )
     lam0, lam1 = h00.real, h11.real
+    if _SQRT2 * mod > JACOBI_RELATIVE_TOL * scale:
+        # the rotation G = [[c, u], [-conj(u), c]] of _rotate, which zeroes
+        # h01; G^H h G has the diagonal h00 - t|h01|, h11 + t|h01|
+        phase = h01 / mod
+        tau = (lam1 - lam0) / (2.0 * mod)
+        if tau == 0.0:
+            t = 1.0
+        else:
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        u = t * c * phase
+        lam0, lam1 = lam0 - t * mod, lam1 + t * mod
+        # eigenvector columns (p0, p1) and (q0, q1)
+        p0, p1, q0, q1 = complex(c), -u.conjugate(), u, complex(c)
+    else:
+        p0, p1, q0, q1 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     # the stable ascending sort
     if lam1 < lam0:
         lam0, lam1, p0, p1, q0, q1 = lam1, lam0, q0, q1, p0, p1
@@ -337,7 +328,7 @@ def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem
     pivot_p = mp0 <= PIVOT_MODULUS and abs(p1) > mp0
     pivot_q = mq0 <= PIVOT_MODULUS and abs(q1) > mq0
     # the pivot order inside the degeneracy gap
-    if pivot_p and not pivot_q and lam1 - lam0 <= max(1e-12, 1e-12 * max(abs(lam0), abs(lam1))):
+    if pivot_p and not pivot_q and lam1 - lam0 <= 1e-12 * max(abs(lam0), abs(lam1)):
         lam0, lam1, p0, p1, q0, q1 = lam1, lam0, q0, q1, p0, p1
         pivot_p, pivot_q = pivot_q, pivot_p
     # the phase gauge: make each pivot component real and positive

@@ -185,14 +185,6 @@ class ModelSpec:
         g, e, o = self.reference_ground_state, self.reference_excited_state, operator.matrix
         return np.vdot(g, o @ g).real, np.vdot(e, o @ e).real, np.vdot(g, o @ e)
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.pair_elements(self.target)[0])
-
-    @property
-    def excited_energy(self) -> float:
-        return float(self.pair_elements(self.target)[1])
-
 
 def _builtin_model(coupling: float, target: str, ground: np.ndarray, excited: np.ndarray) -> ModelSpec:
     """Ramp -J*Z into -J*target, with the target's closed-form reference pair

@@ -16,6 +16,18 @@ def expm_minus_i(m, t: float) -> np.ndarray:
     return (v * np.exp(lam * (-1j * t))) @ v.conj().T
 
 
+def hermitian2_eigenvalues(h00: float, h01: complex, h11: float) -> list[float]:
+    """Eigenvalues of [[h00, h01], [conj(h01), h11]], ascending, each the
+    double nearest to m -+ sqrt(d^2 + |h01|^2) with m, d = (h00 +- h11)/2,
+    evaluated by mpmath at 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(h00), mpmath.mpf(h11)
+        r = mpmath.sqrt(((a - b) / 2) ** 2 + mpmath.mpf(h01.real) ** 2 + mpmath.mpf(h01.imag) ** 2)
+        return [float((a + b) / 2 - r), float((a + b) / 2 + r)]
+
+
 def superposition_state(spec: ModelSpec, beta_mod: float, theta: float = 0.0) -> np.ndarray:
     """Build sqrt(1-b^2)*|g> + b*e^{-i*theta}*|e>; decompose() recovers (b, theta)."""
     alpha = np.sqrt(1.0 - beta_mod**2)

@@ -118,9 +118,47 @@ def test_cli_rejects_a_hold_shorter_than_one_sample_interval(verb, tmp_path, cap
     err = capsys.readouterr().err
     assert "'hold_duration': must exceed half a sample_dt of 100.0 (got 16.0)" in err
     assert not (tmp_path / "out").exists()
-    # exactly half an interval rounds to none, just over half to one
+    # exactly half an interval rounds to none, just over half to one, which
+    # passes this rule and fails the next: one interval holds no beat period
     assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=32"]) == 2
-    assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=31.9"]) == 0
+    assert "'hold_duration': must exceed half a sample_dt" in capsys.readouterr().err
+    assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=31.9"]) == 2
+    err = capsys.readouterr().err
+    assert "must exceed half a sample_dt" not in err and "config field 'sample_dt'" in err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("sample_dt=1", "config field 'sample_dt': 4 samples per period; need at least 16"),
+        ("hold_duration=2", "config field 'hold_duration': record spans 0.5 periods; need at least one"),
+    ],
+)
+def test_cli_rejects_a_hold_grid_that_cannot_show_the_beat_before_any_ramp(
+    setting, message, tmp_path, monkeypatch, capsys
+):
+    ramps = []
+    monkeypatch.setattr(runner, "run_adiabatic", lambda *args, **kwargs: ramps.append(args))
+    out = tmp_path / "out"
+    for args in (
+        ["validate", "--preset", "fig2"],
+        ["run", "--preset", "fig2", "--out", str(out)],
+        ["sweep", "--preset", "fig2", "--parameter", "T", "--values", "4.5,9", "--out", str(out)],
+    ):
+        assert run_cli(args + ["--set", setting]) == 2, args[0]
+        assert message in capsys.readouterr().err
+    assert ramps == [] and not out.exists()
+
+
+def test_hold_grid_check_reads_the_grid_the_hold_lays_out(tmp_path):
+    # 3.99 rounds to 96 intervals of 1/24, one whole period of 4, and a
+    # sample_dt of 1/4 gives exactly 16 samples per period: both run
+    for setting in ("hold_duration=3.99", "sample_dt=0.25"):
+        out = tmp_path / setting
+        args = ["run", "--preset", "fig2", "--set", setting, "--set", "shots=0", "--out", str(out)]
+        assert run_cli(args) == 0, setting
+        assert (out / "summary.json").exists()
+    assert run_cli(["validate", "--preset", "fig2", "--set", "sample_dt=0.2501"]) == 2
 
 
 def test_cli_rejects_shots_past_the_sampler_range(tmp_path, capsys):
@@ -526,6 +564,11 @@ def _inline(initial=_Z, target=_X, extra=""):
         # a line break in a label would split the CSV's "# observable" comment
         ("fig1a", [f'observables=[{{"label": "Z\\nt,exact", "matrix": {_Z}}}]'], None,
          "config field 'observables.label': must be printable (got 'Z\\nt,exact')"),
+        # hold grids that cannot show fig2's beat, whose period is 4
+        ("fig2", ["sample_dt=1"], None,
+         "config field 'sample_dt': 4 samples per period; need at least 16"),
+        ("fig2", ["hold_duration=2"], None,
+         "config field 'hold_duration': record spans 0.5 periods; need at least one"),
     ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(

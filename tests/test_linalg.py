@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,10 @@ from adiaprep.evolve import run_adiabatic
 from adiaprep.linalg import EigenSystem, as_complex_matrix, as_state_vector, eig_hermitian
 from adiaprep.model import AdiabaticSchedule, model_one, model_two
 
-from _oracles import expm_minus_i
+from _oracles import expm_minus_i, hermitian2_eigenvalues
 
 SQRT2 = np.sqrt(2.0)
+EPS = np.finfo(np.float64).eps
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HAD = (X + Z) / SQRT2
@@ -115,8 +118,9 @@ def test_eig_rejects_non_finite_entry_naming_it():
         eig_hermitian([[1.0, 0.0], [np.nan, 1.0]])
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [4])
 def test_eig_non_convergence_names_the_dimension(monkeypatch, n):
+    # n = 2 has a closed form with no sweeps to cap
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     m = random_hermitian(np.random.default_rng(1), n)
     assert m[0, 1] != 0.0
@@ -218,6 +222,77 @@ def test_eig_properties_random(seed, n):
     recon = (v * es.eigenvalues) @ v.conj().T
     assert np.max(np.abs(recon - m)) < 1e-10
     assert np.allclose(es.eigenvalues, np.linalg.eigvalsh(m), atol=1e-10)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    """x moved by |ulps| representable doubles, up for ulps > 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _rotates(h00: float, mod: float, h11: float) -> bool:
+    # _eig2's convergence test on a Hermitian matrix with |h01| = mod
+    return SQRT2 * mod > linalg.JACOBI_RELATIVE_TOL * math.hypot(h00, mod, mod, h11)
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# moduli from 1e-150 to 1e150, so no product or square in the checks leaves
+# the normal range
+_MODULUS = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.999), st.integers(-150, 149))
+_ENTRY = st.one_of(_SIGNED_ZERO, _MODULUS, _MODULUS.map(lambda x: -x))
+
+
+@st.composite
+def _hermitian2(draw) -> np.ndarray:
+    """2x2 Hermitian matrices with entries from 1e-150 to 1e150 and signed
+    zeros; h11 is either free or within 16 ulp of h00, and h01 either free or
+    a signed real or imaginary modulus within 4 ulp of the smallest one that
+    _eig2 rotates away."""
+    h00 = draw(_ENTRY)
+    h11 = _nudge(h00, draw(st.integers(-16, 16))) if h00 and draw(st.booleans()) else draw(_ENTRY)
+    if (h00 or h11) and draw(st.booleans()):
+        mod = linalg.JACOBI_RELATIVE_TOL * math.hypot(h00, h11) / SQRT2
+        while _rotates(h00, mod, h11):
+            mod = math.nextafter(mod, 0.0)
+        while not _rotates(h00, mod, h11):
+            mod = math.nextafter(mod, math.inf)
+        mod = _nudge(mod, draw(st.integers(-4, 4))) * draw(st.sampled_from([1.0, -1.0]))
+        zero = draw(_SIGNED_ZERO)
+        h01 = complex(mod, zero) if draw(st.booleans()) else complex(zero, mod)
+    else:
+        h01 = complex(draw(_ENTRY), draw(_ENTRY))
+    return np.array([[h00, h01], [h01.conjugate(), h11]])
+
+
+def _frobenius(a: np.ndarray) -> float:
+    # hypot keeps the squares of 1e-150-sized entries out of the subnormals
+    return math.hypot(*np.abs(a).ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_hermitian2())
+def test_eig2_is_a_backward_stable_canonical_eigensystem(h):
+    es = eig_hermitian(h)
+    lam, v = es.eigenvalues, es.eigenvectors
+    norm = _frobenius(h)
+    # below the convergence threshold _eig2 keeps the diagonal: v is then a
+    # permutation, and the dropped off-diagonal enters both error bounds
+    dropped = 0.0 if np.all(v) else abs(h[0, 1])
+    assert SQRT2 * dropped <= linalg.JACOBI_RELATIVE_TOL * norm * (1.0 + 4 * EPS)
+    assert _frobenius((v * lam) @ v.conj().T - h) <= 8 * EPS * norm + SQRT2 * dropped
+    assert _frobenius(v.conj().T @ v - np.eye(2)) <= 8 * EPS
+    exact = hermitian2_eigenvalues(h[0, 0].real, h[0, 1], h[1, 1].real)
+    assert np.max(np.abs(np.sort(lam) - exact)) <= 4 * EPS * norm + dropped
+    pivots = [int(np.flatnonzero(np.abs(column) > linalg.PIVOT_MODULUS)[0]) for column in v.T]
+    # ascending, but for a pair inside the degeneracy gap, which is in pivot order
+    assert lam[0] <= lam[1] or (
+        lam[0] - lam[1] <= 1e-12 * np.max(np.abs(lam)) and pivots == [0, 1]
+    )
+    for column, k in zip(v.T, pivots):
+        # the gauge multiplies by conj(z)/|z|, which leaves an imaginary part
+        # within rounding of zero
+        assert column[k].real > 0.0 and abs(column[k].imag) <= EPS * column[k].real
 
 
 def test_expm_zero_time_is_identity():
@@ -349,17 +424,39 @@ def scale_spy(monkeypatch):
 
 
 def _solve_outcome(spy, solve, rows):
-    """Eigensystem bits, or exception type and text, of solve(rows), with the
-    scales its convergence tests saw."""
+    """solve(rows) as its eigensystem, or exception type and text, with the
+    first scale its convergence test read."""
     spy.seen = []
     try:
         es = solve(rows)
     except (ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc), spy.seen
-    return es.eigenvalues.tobytes(), es.eigenvectors.tobytes(), spy.seen
+        return type(exc), str(exc), spy.seen[:1]
+    return es, spy.seen[:1]
 
 
-def _fused(rows):
+def _assert_same_solution(fast, general, rows):
+    """The closed form against the general kernel: an exception with the same
+    type and text, the same first scale read, eigenvalues within 4 ulp of
+    ||H||_F and eigenvectors within 4 eps.
+
+    Both are accurate to a few ulp, not to the same bits: against exact
+    eigenvalues the closed form's diagonal is off by up to 2.2 ulp of
+    ||H||_F, the general kernel's complex G^H A G by up to 4.5 ulp.
+    """
+    if not isinstance(fast[0], EigenSystem):
+        assert fast == general, rows
+        return
+    (es_fast, scale_fast), (es_general, scale_general) = fast, general
+    assert isinstance(es_general, EigenSystem), rows
+    # the general kernel skips its convergence test on a zero matrix
+    assert scale_fast == (scale_general or [(0.0).hex()]), rows
+    norm = math.hypot(*[abs(z) for row in rows for z in row])
+    values = np.abs(es_fast.eigenvalues - es_general.eigenvalues)
+    vectors = np.abs(es_fast.eigenvectors - es_general.eigenvectors)
+    assert values.max() <= 4 * math.ulp(norm) and vectors.max() <= 4 * EPS, rows
+
+
+def _closed_form(rows):
     (a00, a01), (a10, a11) = rows
     return linalg._eig2(a00, a01, a10, a11)
 
@@ -369,7 +466,7 @@ def _general(rows):
 
 
 def _two_by_two_cases(rng, per_class):
-    """Seeded 2x2 matrices, per_class of each kind where the unrolled and
+    """Seeded 2x2 matrices, per_class of each kind where the closed-form and
     the general kernel could part: scales from 1e-8 to 1e8 and 1e+-300,
     diagonal, multiples of I, equal diagonals with real off-diagonals, and
     pairs inside the degeneracy gap with zero or 1e-20 off-diagonals."""
@@ -411,25 +508,21 @@ def _ramp_cases(spec, points):
         yield s * ht
 
 
-@pytest.mark.parametrize("max_sweeps, per_class", [(None, 2500), (0, 100), (1, 500), (2, 500)])
+@pytest.mark.parametrize("max_sweeps, per_class", [(None, 2500), (2, 500)])
 def test_jacobi2_is_bit_identical_to_the_general_kernel(
     monkeypatch, scale_spy, max_sweeps, per_class
 ):
-    # the fused n = 2 routine against _hermitian_part and _jacobi; fewer
-    # sweeps than convergence needs makes both raise, and the messages must
-    # match as well
+    # the closed-form n = 2 routine against _hermitian_part and _jacobi,
+    # which converges on 2x2 rows within two sweeps
     if max_sweeps is not None:
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", max_sweeps)
     cases = _two_by_two_cases(np.random.default_rng(2024), per_class)
     for spec in (model_one(1.0), model_two(np.pi / 4.0)):
         cases.extend(_ramp_cases(spec, per_class // 2 + 1))
-    differ = []
     for m in cases:
         rows = linalg._square_rows(m)
-        fast = _solve_outcome(scale_spy, _fused, rows)
-        if fast != _solve_outcome(scale_spy, _general, rows):
-            differ.append(m.tolist())
-    assert not differ, f"{len(differ)} of {len(cases)} matrices differ, first {differ[0]}"
+        fast = _solve_outcome(scale_spy, _closed_form, rows)
+        _assert_same_solution(fast, _solve_outcome(scale_spy, _general, rows), m.tolist())
 
 
 @pytest.mark.parametrize(
@@ -455,13 +548,13 @@ def test_ramp_is_bit_identical_through_the_general_kernel(monkeypatch, integrato
     per_step = 2 if integrator == "trotter2" else 1
     # one more for the initial ground state
     assert len(general) == per_step * schedule.num_steps + 1
-    assert slow.tobytes() == fast.tobytes()
+    assert np.linalg.norm(slow - fast) <= 1e-14
 
 
 def test_hermitian_part2_matches_the_general_one_in_bits_and_error_text(scale_spy):
-    # the fused n = 2 routine's Hermiticity check, symmetrisation and norm
-    # against _hermitian_part's, through the eigensystem, the exception text
-    # and the scale its convergence test reads
+    # the closed-form n = 2 routine's Hermiticity check, symmetrisation and
+    # norm against _hermitian_part's, through the eigensystem, the exception
+    # text and the scale its convergence test reads
     rng = np.random.default_rng(7)
     cases = _two_by_two_cases(rng, 200)
     # anti-Hermitian residues below, at and past the tolerance
@@ -485,8 +578,8 @@ def test_hermitian_part2_matches_the_general_one_in_bits_and_error_text(scale_sp
     raised = 0
     for m in cases:
         rows = linalg._square_rows(m)
-        fast = _solve_outcome(scale_spy, _fused, rows)
-        assert fast == _solve_outcome(scale_spy, _general, rows), m.tolist()
+        fast = _solve_outcome(scale_spy, _closed_form, rows)
+        _assert_same_solution(fast, _solve_outcome(scale_spy, _general, rows), m.tolist())
         raised += isinstance(fast[0], type)
     assert raised >= 100
 

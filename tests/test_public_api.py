@@ -65,8 +65,9 @@ def test_removed_names_are_gone():
         "initial", "target", "observables", "reference_ground_state",
         "reference_excited_state", "oscillation_angular_frequency",
     ]
-    assert not hasattr(adiaprep.model_one(1.0), "kind")
-    assert not hasattr(adiaprep.model_one(1.0), "coupling")
+    # the reference energies are pair_elements(target)[:2]
+    for name in ("kind", "coupling", "ground_energy", "excited_energy"):
+        assert not hasattr(adiaprep.model_one(1.0), name), name
     assert not hasattr(adiaprep.EigenSystem, "dim")
 
 

@@ -1,9 +1,10 @@
 """Bit pin on the ramp: final states and sweep deviations, compared with ==.
 
-The values were produced by the scalar Jacobi eigensolver with the array
-H(s) of the exact-midpoint step (Python 3.11, numpy 2.4). Every later change
-to the ramp's numerics either keeps these bits or replaces this pin with a
-stated bound.
+The values were produced by the closed-form 2x2 eigensolver (one Jacobi
+rotation with Rutishauser's diagonal update) and, for the 3x3 model, the
+scalar Jacobi sweeps, with the array H(s) of the exact-midpoint step (Python
+3.11, numpy 2.4). Every later change to the ramp's numerics either keeps
+these bits or replaces this pin with a stated bound.
 """
 
 from dataclasses import replace
@@ -23,36 +24,36 @@ INLINE3 = Path(__file__).parent / "data" / "inline3.json"
 # (config, total_time, integrator) -> final state
 FINAL_STATES = {
     ("fig1a", 4.5, "trotter2"): [
-        complex(-0.5398535005495151, -0.40869474565180386),
-        complex(-0.612313428198424, -0.40816549152141834),
+        complex(-0.5398535005495149, -0.4086947456518041),
+        complex(-0.6123134281984234, -0.40816549152141846),
     ],
     ("fig1a", 4.5, "exact-midpoint"): [
-        complex(-0.5400140075778024, -0.4086796099398417),
-        complex(-0.6118388876645541, -0.40867960993984176),
+        complex(-0.5400140075778023, -0.40867960993984187),
+        complex(-0.6118388876645545, -0.4086796099398417),
     ],
     ("fig1a", 9.0, "trotter2"): [
-        complex(0.37610312571492704, 0.6183449360665267),
-        complex(0.3066092200040918, 0.6182125565505792),
+        complex(0.37610312571492666, 0.6183449360665266),
+        complex(0.30660922000409163, 0.618212556550579),
     ],
     ("fig1a", 9.0, "exact-midpoint"): [
-        complex(0.37550976423216875, 0.6186228680976572),
-        complex(0.30594756266320755, 0.6186228680976567),
+        complex(0.37550976423216864, 0.6186228680976579),
+        complex(0.305947562663208, 0.6186228680976575),
     ],
     ("fig2", 4.5, "trotter2"): [
-        complex(-0.9008789512118354, -0.21807609228137045),
-        complex(-0.3642875155423163, -0.09030248755570919),
+        complex(-0.9008789512118351, -0.21807609228137048),
+        complex(-0.3642875155423162, -0.09030248755570919),
     ],
     ("fig2", 4.5, "exact-midpoint"): [
         complex(-0.9008815218518914, -0.21807510324545726),
-        complex(-0.3642750121578483, -0.09032966538018138),
+        complex(-0.3642750121578483, -0.09032966538018143),
     ],
     ("fig2", 9.0, "trotter2"): [
-        complex(0.8425157217505013, 0.3940517856044793),
-        complex(0.32901858137954126, 0.163209135688344),
+        complex(0.842515721750501, 0.3940517856044809),
+        complex(0.3290185813795417, 0.16320913568834472),
     ],
     ("fig2", 9.0, "exact-midpoint"): [
-        complex(0.842508562300061, 0.3940659045857695),
-        complex(0.32901092295519585, 0.16322744214824786),
+        complex(0.8425085623000598, 0.3940659045857677),
+        complex(0.3290109229551952, 0.16322744214824716),
     ],
     ("inline3", 18.0, "trotter2"): [
         complex(-0.3167499447019181, 0.6226532708692845),
@@ -68,12 +69,12 @@ FINAL_STATES = {
 
 # fig2's exact-midpoint reference at step_width/64 for T = 4.5, as sweep runs it
 FIG2_REFERENCE_T_4_5 = [
-    complex(-0.9008815220205724, -0.2180881085263345),
-    complex(-0.36426588986523106, -0.09033505234390467),
+    complex(-0.9008815220205726, -0.21808810852633442),
+    complex(-0.36426588986523395, -0.09033505234390281),
 ]
 
 # fig2's sweep over T at shots=0: trotter_deviation per value
-FIG2_TROTTER_DEVIATION = {4.5: 4.0977244175397869e-05, 9.0: 3.3673033425737222e-05}
+FIG2_TROTTER_DEVIATION = {4.5: 4.0977244172333344e-05, 9.0: 3.367303342174201e-05}
 
 
 def _config(name, total_time):
