@@ -1,23 +1,35 @@
 """Dense complex linear algebra for small Hermitian systems.
 
-Eigendecomposition uses cyclic Jacobi rotations: slower than LAPACK but fully
-deterministic, with a fixed rotation order, a fixed tie-break for degenerate
-eigenvalues, and a fixed phase gauge. That determinism is what makes repeated
-runs byte-identical, so do not swap in a platform eigensolver here.
+Eigendecomposition is written here on Python complex scalars held in lists,
+not called from LAPACK: slower, but fully deterministic, with a fixed order
+of operations, a fixed tie-break for degenerate eigenvalues, and a fixed
+phase gauge. That determinism is what makes repeated runs byte-identical, so
+do not swap in a platform eigensolver here. Rows of Python complex go in as
+they are, and EigenSystem is a record of the solver's own floats and complex
+rows; its properties build read-only numpy arrays on each read.
 
-The Jacobi kernel runs on Python complex scalars held in lists: the working
-matrix as rows, the eigenvector basis as columns. Every rotation is plain
-scalar IEEE double arithmetic with no numpy dispatch. Rows of Python complex
-go in as they are, and EigenSystem is a record of the solver's own floats
-and complex rows; its properties build read-only numpy arrays on each read.
-A rotation recomputes rows p and q and mirrors them into columns p and q,
-so the working matrix stays exactly Hermitian. The rules are fixed: sweep
-(p, q) pairs in row order, skip a rotation when a[p][q] == 0, stop when the
-off-diagonal Frobenius norm is at most JACOBI_RELATIVE_TOL times the matrix
-norm, then sort stably, order each degenerate group by pivot index and make
-every pivot component real and positive. One call costs 1.5-2 ms at n=8 on
-a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4). The cost grows with n^3 per
-sweep; at n=64 a call takes about 1.3 s.
+n >= 3 goes to one kernel, _householder_ql. It scales the Hermitian part by
+the power of two that brings its Frobenius norm into [0.5, 1): exact, and
+no intermediate of the matrix's size can then overflow or underflow.
+Householder reflections reduce it to a tridiagonal matrix, skipping a column
+that is already zero below its subdiagonal (Martin, Reinsch & Wilkinson,
+Numer. Math. 11, 181-195, 1968; EISPACK htridi is the complex form). A
+diagonal phase matrix makes the off-diagonal real, and implicit-shift QL
+with Wilkinson's shift diagonalises it, applying each plane rotation to the
+complex eigenvector columns (Dubrulle, Martin & Wilkinson, Numer. Math. 12,
+377-383, 1968; EISPACK imtql2). An off-diagonal entry counts as zero once it
+is within eps of the largest |d_i| + |e_i|, and an unreduced 2x2 block is
+finished by the one rotation _eig2 forms, so a 2x2 block beside others gets
+_eig2's bits. Every sum runs in index order through functools.reduce, not
+the builtin sum, whose float algorithm changed in Python 3.12. The
+eigenvalues are scaled back (exact again), sorted stably, each degenerate
+group is ordered by pivot index, and each pivot component is made real and
+positive up to rounding: the gauge multiplies by conj(z)/|z|, which can
+leave an imaginary part of up to eps times the real one. A dense call on
+rows costs about 0.12 ms at n=3, 0.2 ms at n=4, 0.3 ms at n=6, 0.55 ms at
+n=8 and 3.3 ms at n=16 on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4),
+against 0.15, 0.3, 0.65, 1.5 and 11.4 ms for the cyclic Jacobi sweeps it
+replaced (kept in tests/_oracles.py).
 
 n=2, the dimension of every built-in model, goes to _eig2 once the rows
 pass the checks every size does. It runs the Hermiticity check and
@@ -26,20 +38,22 @@ tolerance or an overflow goes to the general check, so its message is the
 same. Then one Jacobi rotation diagonalises the 2x2 matrix exactly, and
 Rutishauser's update gives its diagonal, h00 - t|h01| and h11 + t|h01|
 (Numer. Math. 9, 1-10, 1966), followed by the same canonical form. A matrix
-whose off-diagonal is below the convergence threshold, every (1-s)*H0 of a
-built-in ramp among them, is taken as diagonal with the bits of the general
-code. Elsewhere the eigenvalues differ from the general code's by a few ulp
-of the matrix norm (the general code, which forms G^H A G in complex
-arithmetic, is the less accurate of the two) and the eigenvectors by a few
-eps; tests compare the two on more than 20,000 matrices. A dense 2x2 call
-costs about 3.5-4.5 us on rows and 4.5-5.5 us on an array. The ramp and the
-hold apply eigensystems themselves.
+whose off-diagonal is below JACOBI_RELATIVE_TOL of its norm, every
+(1-s)*H0 of a built-in ramp among them, is taken as diagonal, with the bits
+the cyclic Jacobi sweeps gave it. Elsewhere the eigenvalues differ from the
+sweeps' by a few ulp of the matrix norm (the sweeps, which form G^H A G in
+complex arithmetic, are the less accurate of the two) and the eigenvectors
+by a few eps; tests compare the two on more than 20,000 matrices. A dense
+2x2 call costs about 3.5-4.5 us on rows and 4.5-5.5 us on an array. The
+ramp and the hold apply eigensystems themselves.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -55,12 +69,18 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 # largest | ||v|| - 1 | a state vector may carry
 NORM_TOL = 1e-10
-# convergence: off-diagonal Frobenius mass relative to the full Frobenius norm
+# _eig2 takes a 2x2 matrix as diagonal when its off-diagonal Frobenius mass
+# is at most this times the full Frobenius norm
 JACOBI_RELATIVE_TOL = 1e-14
 # components at or below this modulus are ignored when choosing the pivot
 # entry used for eigenvector ordering and phase fixing
 PIVOT_MODULUS = 1e-9
-_MAX_SWEEPS = 64
+# QL iterations allowed per eigenvalue; two or three is typical
+_MAX_QL_ITERATIONS = 30
+# a column whose squared moduli below the subdiagonal sum to at most this,
+# on the scaled matrix, is taken as reduced: 2^-500 of the norm at most
+_NEGLIGIBLE_SQUARES = 2.0**-1000
+_EPS = 2.0**-52
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -172,49 +192,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _offdiag_norm(a: list[list[complex]]) -> float:
-    # the strict lower triangle mirrors the upper one
-    return _SQRT2 * math.hypot(*[abs(z) for i, row in enumerate(a) for z in row[i + 1 :]])
-
-
-def _rotate(a: list[list[complex]], v: list[list[complex]], p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p][q], applied in place to the Hermitian
-    rows a and the eigenvector columns v."""
-    rp, rq = a[p], a[q]
-    apq = rp[q]
-    mod = abs(apq)
-    if mod == 0.0:
-        return
-    phase = apq / mod
-    tau = (rq[q].real - rp[p].real) / (2.0 * mod)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    u = s * phase
-    uc = u.conjugate()
-    # columns p, q of the rotation G: gp = (c, -s*conj(phase)), gq = (s*phase, c).
-    # Rows p, q of G^H a; every other row only changes in columns p and q,
-    # by the conjugates of these rows' entries.
-    new_p = [x * c - y * u for x, y in zip(rp, rq)]
-    new_q = [x * uc + y * c for x, y in zip(rp, rq)]
-    for row, x, y in zip(a, new_p, new_q):
-        row[p] = x.conjugate()
-        row[q] = y.conjugate()
-    # the (p, q) block of (G^H a) G
-    bpp, bpq, bqp, bqq = new_p[p], new_p[q], new_q[p], new_q[q]
-    new_p[p] = (bpp * c - bpq * uc).real
-    new_q[q] = (bqp * u + bqq * c).real
-    new_p[q] = bpp * u + bpq * c
-    new_q[p] = new_p[q].conjugate()
-    a[p], a[q] = new_p, new_q
-    vp, vq = v[p], v[q]
-    v[p] = [x * c - y * uc for x, y in zip(vp, vq)]
-    v[q] = [x * u + y * c for x, y in zip(vp, vq)]
-
-
 def _pivot_index(column: list[complex]) -> int:
     for i, z in enumerate(column):
         if abs(z) > PIVOT_MODULUS:
@@ -255,29 +232,158 @@ def _canonicalize(
     return lam, v
 
 
-def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
-    """Cyclic Jacobi sweeps on the Hermitian rows a, whose Frobenius norm is
-    scale; a is overwritten."""
+def _householder_ql(a: list[list[complex]], scale: float) -> EigenSystem:
+    """Eigensystem of the Hermitian rows a, whose Frobenius norm is scale, by
+    Householder reduction to tridiagonal form and implicit-shift QL; a is
+    overwritten.
+
+    The rows are scaled by the power of two that brings scale into [0.5, 1),
+    so no intermediate of the matrix's size overflows or underflows, and the
+    eigenvalues are scaled back; both steps are exact.
+    """
     n = len(a)
-    # eigenvector columns, starting from the identity
-    v = [[0j] * n for _ in range(n)]
-    for k in range(n):
-        v[k][k] = 1.0 + 0j
-    if scale > 0.0:
-        for _ in range(_MAX_SWEEPS):
-            if _offdiag_norm(a) <= JACOBI_RELATIVE_TOL * scale:
+    exponent = math.frexp(scale)[1]
+    down = math.ldexp(1.0, -exponent)
+    for row in a:
+        row[:] = [z * down for z in row]
+    # Householder: H_k = I - tau*v*v^H on indices k+1.. zeroes column k below
+    # its subdiagonal entry, which becomes -phase*alpha, and A <- H_k A H_k
+    reflectors = []
+    sub = []
+    for k in range(n - 2):
+        v = [a[i][k] for i in range(k + 1, n)]
+        sigma = reduce(add, [z.real * z.real + z.imag * z.imag for z in v[1:]])
+        if sigma <= _NEGLIGIBLE_SQUARES:
+            # already zero below the subdiagonal, up to 2^-500 of the norm
+            sub.append(v[0])
+            continue
+        x0 = v[0]
+        m0 = abs(x0)
+        alpha = math.sqrt(m0 * m0 + sigma)
+        phase = x0 / m0 if m0 > 0.0 else 1.0 + 0j
+        v[0] = x0 + phase * alpha
+        tau = 1.0 / (alpha * (alpha + m0))
+        sub.append(-phase * alpha)
+        block = a[k + 1 :]
+        # p = tau*B*v, w = p - (tau/2)(v^H p) v, B <- B - v w^H - w v^H
+        p = [tau * reduce(add, [b * y for b, y in zip(row[k + 1 :], v)]) for row in block]
+        half = 0.5 * tau * reduce(add, [y.conjugate() * q for y, q in zip(v, p)]).real
+        w = [q - half * y for q, y in zip(p, v)]
+        vc = [y.conjugate() for y in v]
+        wc = [y.conjugate() for y in w]
+        # the pair is summed before it is subtracted, so entry (j, i) is the
+        # exact conjugate of entry (i, j) and B stays exactly Hermitian
+        for row, vi, wi in zip(block, v, w):
+            row[k + 1 :] = [b - (vi * x + wi * y) for b, x, y in zip(row[k + 1 :], wc, vc)]
+        reflectors.append((k, v, tau))
+    if n > 1:
+        sub.append(a[n - 1][n - 2])
+    # eigenvector columns: Q = H_0 H_1 ... built from the identity backwards,
+    # so H_k only meets indices k+1..
+    q = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        q[j][j] = 1.0 + 0j
+    for k, v, tau in reversed(reflectors):
+        vc = [y.conjugate() for y in v]
+        for column in q[k + 1 :]:
+            tail = column[k + 1 :]
+            f = tau * reduce(add, [x * y for x, y in zip(vc, tail)])
+            column[k + 1 :] = [x - f * y for x, y in zip(tail, v)]
+    # T = D R D^H with D diagonal phases and R real: the eigenvectors of A are
+    # the columns of Q D times those of R
+    d = [a[i][i].real for i in range(n)]
+    e = []
+    gauge = 1.0 + 0j
+    for j, z in enumerate(sub):
+        mod = abs(z)
+        e.append(mod)
+        # a zero entry splits T, and the next block's phases start afresh
+        gauge = gauge * (z / mod) if mod > 0.0 else 1.0 + 0j
+        if gauge != 1.0:
+            q[j + 1] = [x * gauge for x in q[j + 1]]
+    e.append(0.0)
+    _implicit_ql(d, e, q)
+    up = math.ldexp(1.0, exponent)
+    lam, q = _canonicalize([x * up for x in d], q)
+    # q holds columns; the eigenvector rows are its transpose
+    return EigenSystem(lam, [list(row) for row in zip(*q)])
+
+
+def _implicit_ql(d: list[float], e: list[float], z: list[list[complex]]) -> None:
+    """Implicit-shift QL on the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e (e[i] couples i and i + 1, e[-1] = 0),
+    applying each plane rotation to the columns z; d becomes the
+    eigenvalues, in place.
+
+    An off-diagonal entry counts as zero once it is within eps of the
+    largest |d_i| + |e_i|, so the error is eps relative to the matrix.
+    """
+    n = len(d)
+    size = max(abs(x) + abs(y) for x, y in zip(d, e))
+    tol = _EPS * size
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > tol:
+                m += 1
+            if m == l:
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate(a, v, p, q)
-        else:
-            raise ArithmeticError(
-                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
-                f"(dimension {n}, residual {_offdiag_norm(a):.3e})"
-            )
-    lam, v = _canonicalize([a[k][k].real for k in range(n)], v)
-    # v holds columns; the eigenvector rows are its transpose
-    return EigenSystem(lam, [list(row) for row in zip(*v)])
+            if m == l + 1:
+                # a 2x2 block: one rotation diagonalises it, formed as in _eig2
+                el = e[l]
+                tau = (d[m] - d[l]) / (2.0 * el)
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                d[l] -= t * el
+                d[m] += t * el
+                e[l] = 0.0
+                zl, zm = z[l], z[m]
+                z[l] = [c * x - s * y for x, y in zip(zl, zm)]
+                z[m] = [s * x + c * y for x, y in zip(zl, zm)]
+                break
+            if iterations == _MAX_QL_ITERATIONS:
+                raise ArithmeticError(
+                    f"QL iteration did not converge in {_MAX_QL_ITERATIONS} iterations "
+                    f"(dimension {n}, eigenvalue {l}, off-diagonal {abs(e[l]) / size:.3e} "
+                    "of the largest |d_i| + |e_i|)"
+                )
+            iterations += 1
+            # the shift is the eigenvalue of the leading 2x2 block nearer d[l]
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # underflow: deflate and start again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                # complex(c) is the operand c * x converts to on every entry
+                zi, zj, cz, sz = z[i], z[i + 1], complex(c), complex(s)
+                z[i + 1] = [sz * x + cz * y for x, y in zip(zi, zj)]
+                z[i] = [cz * x - sz * y for x, y in zip(zi, zj)]
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
 
 
 def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem:
@@ -287,8 +393,8 @@ def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem
 
     The Hermiticity check and symmetrisation are _hermitian_part's for n = 2,
     and a defect past the tolerance or an overflow goes to the general code,
-    which raises with its own text. Below the convergence threshold the
-    matrix is taken as diagonal, as _jacobi takes it, with the same bits.
+    which raises with its own text. Below JACOBI_RELATIVE_TOL the matrix is
+    taken as diagonal, as the cyclic Jacobi sweeps took it, with their bits.
     """
     # the Hermitian part (a + a^H)/2 and its Frobenius norm
     y = a10.conjugate()
@@ -301,7 +407,7 @@ def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem
         scale = math.inf
     if not math.isfinite(scale):
         # a defect past the tolerance or an overflow: the general check raises
-        return _jacobi(*_hermitian_part([[a00, a01], [a10, a11]], HERMITICITY_TOL))
+        return _householder_ql(*_hermitian_part([[a00, a01], [a10, a11]], HERMITICITY_TOL))
     lam0, lam1 = h00.real, h11.real
     if _SQRT2 * mod > JACOBI_RELATIVE_TOL * scale:
         # the rotation G = [[c, u], [-conj(u), c]] of _rotate, which zeroes
@@ -361,7 +467,8 @@ def _complex_rows(m) -> list[list[complex]] | None:
 
 
 def eig_hermitian(m) -> EigenSystem:
-    """Full eigensystem of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Full eigensystem of a Hermitian matrix: in closed form at n = 2, by
+    Householder tridiagonalisation and implicit-shift QL above.
 
     m is anything numpy reads as a square complex matrix. Rows of Python
     complex skip the array round trip; any that fail a check take the array
@@ -372,4 +479,4 @@ def eig_hermitian(m) -> EigenSystem:
         rows = _square_rows(np.asarray(m, dtype=np.complex128))
     if len(rows) == 2:
         return _eig2(*rows[0], *rows[1])
-    return _jacobi(*_hermitian_part(rows, HERMITICITY_TOL))
+    return _householder_ql(*_hermitian_part(rows, HERMITICITY_TOL))

@@ -44,7 +44,6 @@ class RunResult:
     summary: dict
     series: dict[str, TimeSeries]
     predictions: dict[str, TimeSeries]
-    spec: ModelSpec
 
 
 def _fields(result) -> dict:
@@ -59,9 +58,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     sampled one; the headline is the first observable's last channel.
     """
     cfg.validate()
-    spec = cfg.build_model()
-    schedule = cfg.build_schedule()
+    return _run(cfg, cfg.build_model(), cfg.build_schedule())
 
+
+def _run(cfg: ExperimentConfig, spec: ModelSpec, schedule: AdiabaticSchedule) -> RunResult:
+    """run_experiment on a validated cfg whose model and schedule are built."""
     prepared = run_adiabatic(spec, schedule, cfg.integrator)
     decomposition = decompose(prepared, spec)
     omega = spec.oscillation_angular_frequency
@@ -112,13 +113,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         "oscillation_angular_frequency": omega,
         "observables": observables_summary,
     }
-    return RunResult(
-        config=cfg,
-        summary=summary,
-        series=series_map,
-        predictions=predictions,
-        spec=spec,
-    )
+    return RunResult(config=cfg, summary=summary, series=series_map, predictions=predictions)
 
 
 def _write_series_csv(path: Path, series: TimeSeries, total_time: float) -> None:
@@ -217,7 +212,9 @@ def sweep(
     <outputs.directory>/sweep_<parameter>.csv. Headline numbers follow the
     run's headline channel; the trotter_deviation column compares the
     split-step ramp against an exact-midpoint ramp at step_width/64 and is
-    empty for non-split integrators.
+    empty for non-split integrators. Every value's config, model and
+    schedule are built and checked before the first ramp, so a bad value
+    fails the sweep before any of them runs.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
@@ -226,8 +223,7 @@ def sweep(
     if not values:
         raise ConfigError("sweep needs at least one value")
     field_name = SWEEP_PARAMETERS[parameter]
-    rows: list[dict] = []
-    deviations: dict = {}
+    runs = []
     for value in values:
         if isinstance(value, (bool, np.bool_)):
             raise ConfigError(f"sweep value for {parameter} must be a number, got {value!r}")
@@ -241,12 +237,17 @@ def sweep(
         else:
             value = float(value)
         sub = replace(cfg, **{field_name: value})
-        result = run_experiment(sub)
+        sub.validate()
+        runs.append((value, sub, sub.build_model(), sub.build_schedule()))
+    rows: list[dict] = []
+    deviations: dict = {}
+    for value, sub, spec, schedule in runs:
+        result = _run(sub, spec, schedule)
         label = result.summary["headline_observable"]
         entry = result.summary["observables"][label]
         deviation = None
         if sub.integrator == "trotter2":
-            deviation = _trotter_deviation(result.spec, sub.build_schedule(), deviations)
+            deviation = _trotter_deviation(spec, schedule, deviations)
         rows.append(
             {
                 "parameter": parameter,

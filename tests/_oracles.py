@@ -1,12 +1,18 @@
 """Reference constructions the tests check the package against.
 
-None of these is on the package's pipeline. expm_minus_i diagonalises with
-numpy's LAPACK eigh, not the package's Jacobi solver, so the propagator tests
-that use it compare two independent eigensolvers.
+None of these is on the package's pipeline. expm_minus_i and
+hermitian_eigenvalues use numpy's LAPACK eigh, not the package's eigensolver,
+so the tests that use them compare two independent eigensolvers. _jacobi is
+the cyclic Jacobi solver the package used before its Householder-QL kernel;
+the closed-form 2x2 routine is compared with it.
 """
+
+import math
 
 import numpy as np
 
+from adiaprep import linalg
+from adiaprep.linalg import EigenSystem
 from adiaprep.model import HermitianOperator, ModelSpec, pauli
 
 
@@ -14,6 +20,11 @@ def expm_minus_i(m, t: float) -> np.ndarray:
     """Unitary exp(-i*m*t) for Hermitian m, via numpy's eigh."""
     lam, v = np.linalg.eigh(np.asarray(m, dtype=np.complex128))
     return (v * np.exp(lam * (-1j * t))) @ v.conj().T
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, via numpy's eigh."""
+    return np.linalg.eigh(np.asarray(m, dtype=np.complex128))[0]
 
 
 def hermitian2_eigenvalues(h00: float, h01: complex, h11: float) -> list[float]:
@@ -121,3 +132,77 @@ def landau_zener_propagator(h0, ht, total_time: float) -> np.ndarray:
         rotated = np.array(rotated.tolist(), dtype=complex)
     phase = np.exp(-0.5j * total_time * (c0 + c1))
     return phase * (v.conj().T @ rotated @ v)
+
+
+# cyclic Jacobi sweeps on Python complex scalars; JACOBI_RELATIVE_TOL is read
+# from the package at each call, so a test may replace it there
+_MAX_SWEEPS = 64
+_SQRT2 = math.sqrt(2.0)
+
+
+def _offdiag_norm(a: list[list[complex]]) -> float:
+    # the strict lower triangle mirrors the upper one
+    return _SQRT2 * math.hypot(*[abs(z) for i, row in enumerate(a) for z in row[i + 1 :]])
+
+
+def _rotate(a: list[list[complex]], v: list[list[complex]], p: int, q: int) -> None:
+    """One Jacobi rotation zeroing a[p][q], applied in place to the Hermitian
+    rows a and the eigenvector columns v."""
+    rp, rq = a[p], a[q]
+    apq = rp[q]
+    mod = abs(apq)
+    if mod == 0.0:
+        return
+    phase = apq / mod
+    tau = (rq[q].real - rp[p].real) / (2.0 * mod)
+    if tau == 0.0:
+        t = 1.0
+    else:
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    u = s * phase
+    uc = u.conjugate()
+    # columns p, q of the rotation G: gp = (c, -s*conj(phase)), gq = (s*phase, c).
+    # Rows p, q of G^H a; every other row only changes in columns p and q,
+    # by the conjugates of these rows' entries.
+    new_p = [x * c - y * u for x, y in zip(rp, rq)]
+    new_q = [x * uc + y * c for x, y in zip(rp, rq)]
+    for row, x, y in zip(a, new_p, new_q):
+        row[p] = x.conjugate()
+        row[q] = y.conjugate()
+    # the (p, q) block of (G^H a) G
+    bpp, bpq, bqp, bqq = new_p[p], new_p[q], new_q[p], new_q[q]
+    new_p[p] = (bpp * c - bpq * uc).real
+    new_q[q] = (bqp * u + bqq * c).real
+    new_p[q] = bpp * u + bpq * c
+    new_q[p] = new_p[q].conjugate()
+    a[p], a[q] = new_p, new_q
+    vp, vq = v[p], v[q]
+    v[p] = [x * c - y * uc for x, y in zip(vp, vq)]
+    v[q] = [x * u + y * c for x, y in zip(vp, vq)]
+
+
+def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
+    """Cyclic Jacobi sweeps on the Hermitian rows a, whose Frobenius norm is
+    scale; a is overwritten."""
+    n = len(a)
+    # eigenvector columns, starting from the identity
+    v = [[0j] * n for _ in range(n)]
+    for k in range(n):
+        v[k][k] = 1.0 + 0j
+    if scale > 0.0:
+        for _ in range(_MAX_SWEEPS):
+            if _offdiag_norm(a) <= linalg.JACOBI_RELATIVE_TOL * scale:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    _rotate(a, v, p, q)
+        else:
+            raise ArithmeticError(
+                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
+                f"(dimension {n}, residual {_offdiag_norm(a):.3e})"
+            )
+    lam, v = linalg._canonicalize([a[k][k].real for k in range(n)], v)
+    # v holds columns; the eigenvector rows are its transpose
+    return EigenSystem(lam, [list(row) for row in zip(*v)])

@@ -16,6 +16,7 @@ from adiaprep.config import (
     PRESETS,
     apply_set_overrides,
     config_from_dict,
+    load_config_file,
     preset_config,
 )
 from adiaprep.evolve import run_adiabatic
@@ -23,6 +24,10 @@ from adiaprep.runner import run_experiment, sweep
 
 # CI's 3x3 inline config
 INLINE3 = Path(__file__).parent / "data" / "inline3.json"
+# model1's 2x2 block beside a block four levels up, conjugated by the 4x4
+# Hadamard: no off-diagonal entry is zero, so the eigensolver reduces every
+# matrix
+INLINE4 = Path(__file__).parent / "data" / "inline4.json"
 
 # frozen from reference runs of the Hadamard-model ramp on the fig2 grid
 BETA_SQ_T_4_5 = 6.713687e-05
@@ -147,6 +152,20 @@ def test_cli_rejects_a_hold_grid_that_cannot_show_the_beat_before_any_ramp(
     ):
         assert run_cli(args + ["--set", setting]) == 2, args[0]
         assert message in capsys.readouterr().err
+    assert ramps == [] and not out.exists()
+
+
+def test_sweep_checks_every_value_before_the_first_ramp(tmp_path, monkeypatch, capsys):
+    # with sample_dt following dt, the first value is a sound grid and the
+    # second holds 4 samples per beat period: the sweep exits 2 on the second
+    # before it ramps or references the first
+    ramps = []
+    monkeypatch.setattr(runner, "run_adiabatic", lambda *args, **kwargs: ramps.append(args))
+    out = tmp_path / "out"
+    args = ["sweep", "--preset", "fig2", "--set", "sample_dt=null", "--set", "shots=0",
+            "--parameter", "dt", "--values", "0.041666666666666664,1", "--out", str(out)]
+    assert run_cli(args) == 2
+    assert "config field 'sample_dt': 4 samples per period; need at least 16" in capsys.readouterr().err
     assert ramps == [] and not out.exists()
 
 
@@ -379,11 +398,11 @@ def _beside(top, block):
 def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
     # fig2's 2x2 block beside seeded 3x3 blocks whose spectra lie in [2, 4],
     # above the block's [-1, 1], as in the benchmark's wide_inline workload.
-    # The dimension-5 ramp goes through the general propagator, the model2
-    # ramp through the 2x2 one. Jacobi rotates the block's tiny leftover
-    # off-diagonal again while the 3x3 block converges, so the eigenvectors,
-    # and with them the states, differ in the last bits; the sampled
-    # headline must still be equal, as the benchmark requires.
+    # The dimension-5 ramp goes through the general eigensolver and
+    # propagator, the model2 ramp through the 2x2 ones. The general kernel
+    # finishes the 2x2 block with the 2x2 routine's rotation, so the states
+    # agree to the bit today; the bound leaves room for the last bits, and the
+    # sampled headline must be equal, as the benchmark requires.
     rng = np.random.default_rng(11)
 
     def seeded_block(n):
@@ -431,6 +450,21 @@ def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):
     assert inline_diag["model_kind"] == "anticommuting"
     for key in ("beta_sq", "raw_average", "corrected_value"):
         assert inline_diag[key] == pytest.approx(flip_diag[key], rel=1e-12), key
+
+
+def test_dense_inline_model_reproduces_the_model1_run():
+    # inline4's A is model1's Z on the conjugated reference pair, so its
+    # dense ramp and diagnosis read model1's state and Z diagnosis
+    cfg = replace(config_from_dict(load_config_file(INLINE4)), shots=0)
+    got = run_experiment(cfg).summary
+    want = run_experiment(replace(cfg, model="model1", observables=("Z",))).summary
+    for key in ("beta_sq", "theta"):
+        assert got["state_decomposition"][key] == pytest.approx(
+            want["state_decomposition"][key], rel=1e-12
+        ), key
+    diagnoses = got["observables"]["A"]["diagnosis_exact"], want["observables"]["Z"]["diagnosis_exact"]
+    for key in ("beta_sq", "raw_average", "corrected_value"):
+        assert diagnoses[0][key] == pytest.approx(diagnoses[1][key], rel=1e-12, abs=1e-15), key
 
 
 def test_cli_reads_the_weight_of_a_scaled_anticommuting_observable(tmp_path):

@@ -2,9 +2,10 @@
 
 The values were produced by the closed-form 2x2 eigensolver (one Jacobi
 rotation with Rutishauser's diagonal update) and, for the 3x3 model, the
-scalar Jacobi sweeps, with the array H(s) of the exact-midpoint step (Python
+Householder-QL kernel, with the array H(s) of the exact-midpoint step (Python
 3.11, numpy 2.4). Every later change to the ramp's numerics either keeps
-these bits or replaces this pin with a stated bound.
+these bits or replaces this pin with a stated bound; the 3x3 states are held
+to INLINE3_BOUND.
 """
 
 from dataclasses import replace
@@ -56,16 +57,21 @@ FINAL_STATES = {
         complex(0.3290109229551952, 0.16322744214824716),
     ],
     ("inline3", 18.0, "trotter2"): [
-        complex(-0.3167499447019181, 0.6226532708692845),
-        complex(-0.35239233680727117, 0.6227294900408774),
+        complex(-0.31674994470191736, 0.6226532708692837),
+        complex(-0.352392336807271, 0.6227294900408771),
         complex(0.0, 0.0),
     ],
     ("inline3", 18.0, "exact-midpoint"): [
-        complex(-0.3180328123419657, 0.6219970526732983),
-        complex(-0.35368695651002025, 0.6219970526732989),
+        complex(-0.31803281234196634, 0.6219970526732972),
+        complex(-0.3536869565100203, 0.6219970526732984),
         complex(0.0, 0.0),
     ],
 }
+
+# norm distance allowed from the 3x3 pins, which come from the n >= 3 kernel:
+# the Householder-QL kernel moved them by 1.4e-15 from the cyclic Jacobi
+# sweeps before it, and a later change to that kernel may move them too
+INLINE3_BOUND = 1e-13
 
 # fig2's exact-midpoint reference at step_width/64 for T = 4.5, as sweep runs it
 FIG2_REFERENCE_T_4_5 = [
@@ -92,7 +98,11 @@ def _assert_bits(got, want):
 def test_final_state_keeps_its_bits(name, total_time, integrator):
     cfg = _config(name, total_time)
     got = run_adiabatic(cfg.build_model(), cfg.build_schedule(), integrator)
-    _assert_bits(got, FINAL_STATES[name, total_time, integrator])
+    want = FINAL_STATES[name, total_time, integrator]
+    if name == "inline3":
+        assert np.linalg.norm(got - np.array(want)) <= INLINE3_BOUND, got.tolist()
+    else:
+        _assert_bits(got, want)
 
 
 def test_sweep_reference_keeps_its_bits():
