@@ -4,7 +4,9 @@ None of these is on the package's pipeline. expm_minus_i and
 hermitian_eigenvalues use numpy's LAPACK eigh, not the package's eigensolver,
 so the tests that use them compare two independent eigensolvers. _jacobi is
 the cyclic Jacobi solver the package used before its Householder-QL kernel;
-the closed-form 2x2 routine is compared with it.
+the closed-form 2x2 routine is compared with it. write_series_csv is the
+series CSV writer the package used before its vectorised %.17g kernel: one
+Python `row % values` per grid point.
 """
 
 import math
@@ -206,3 +208,20 @@ def _jacobi(a: list[list[complex]], scale: float) -> EigenSystem:
     lam, v = linalg._canonicalize([a[k][k].real for k in range(n)], v)
     # v holds columns; the eigenvector rows are its transpose
     return EigenSystem(lam, [list(row) for row in zip(*v)])
+
+
+def write_series_csv(path, series, total_time: float) -> None:
+    """The series CSV of one hold record, every float by '%.17g' % x."""
+    header = [
+        f"# observable {series.observable_label}",
+        "# t is the hold time since the end of preparation; "
+        f"absolute time = t + {'%.17g' % total_time}",
+        f"# shots per point: {series.shots_per_point}",
+        "t,exact,sampled,stderr",
+    ]
+    cells = (series.times, series.exact_values, series.sampled_values, series.stderr_values)
+    row = ",".join("" if c is None else "%.17g" for c in cells) + "\n"
+    columns = [c.tolist() for c in cells if c is not None]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(header) + "\n")
+        f.writelines(row % values for values in zip(*columns))
