@@ -2,15 +2,15 @@
 
 The sweep Hamiltonian is H(s) = (1-s)*H_initial + s*H_target with s = t/T.
 A ModelSpec carries the target's reference ground/excited pair, gives any
-operator's elements O_gg, O_ee and O_ge on it, and states the frequency
-E_e - E_g at which a state held on that pair beats. Two single-qubit
+operator's elements O_gg, O_ee and O_ge on it, and reads off that pair the
+frequency E_e - E_g at which a state held on it beats. Two single-qubit
 benchmark models are built in: a bit-flip target (-J*X) and a Hadamard-type
 target (-J*H) whose ground state is not a Pauli eigenstate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,9 +115,7 @@ class ModelSpec:
     pair_elements gives any operator's elements on that pair.
 
     oscillation_angular_frequency is the beat of a held a|g> + b|e>, the
-    reference splitting E_e - E_g. Left as None it is that splitting; a
-    stated value (the built-ins' closed form 2*J) must agree with it to
-    1e-12 relative.
+    reference splitting E_e - E_g of pair_elements(target).
     """
 
     initial: HermitianOperator
@@ -125,7 +123,7 @@ class ModelSpec:
     observables: tuple[HermitianOperator, ...]
     reference_ground_state: np.ndarray
     reference_excited_state: np.ndarray
-    oscillation_angular_frequency: float | None = None
+    oscillation_angular_frequency: float = field(init=False)
 
     def __post_init__(self) -> None:
         dim = self.target.dim
@@ -162,15 +160,7 @@ class ModelSpec:
             raise ValueError(
                 f"reference ground energy {e_gg!r} is not below the excited energy {e_ee!r}"
             )
-        splitting = e_ee - e_gg
-        stated = self.oscillation_angular_frequency
-        if stated is None:
-            object.__setattr__(self, "oscillation_angular_frequency", splitting)
-        elif not abs(stated - splitting) <= 1e-12 * splitting:
-            raise ValueError(
-                f"oscillation_angular_frequency {stated!r} is not the reference "
-                f"splitting {splitting!r}"
-            )
+        object.__setattr__(self, "oscillation_angular_frequency", e_ee - e_gg)
 
     @property
     def dim(self) -> int:
@@ -187,8 +177,7 @@ class ModelSpec:
 
 
 def _builtin_model(coupling: float, target: str, ground: np.ndarray, excited: np.ndarray) -> ModelSpec:
-    """Ramp -J*Z into -J*target, with the target's closed-form reference pair
-    and beat frequency 2*J."""
+    """Ramp -J*Z into -J*target, with the target's closed-form reference pair."""
     if not (np.isfinite(coupling) and coupling > 0.0):
         raise ValueError(f"coupling must be positive, got {coupling!r}")
     j = float(coupling)
@@ -198,7 +187,6 @@ def _builtin_model(coupling: float, target: str, ground: np.ndarray, excited: np
         observables=(),
         reference_ground_state=ground,
         reference_excited_state=excited,
-        oscillation_angular_frequency=2.0 * j,
     )
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .analyze import diagnose, oscillation_stats, predicted_series
 from .config import ConfigError, ExperimentConfig, _artifact_name
 from .evolve import decompose, run_adiabatic
+from .linalg import _read_only
 from .measure import TimeSeries, hold_series
 from .model import AdiabaticSchedule, ModelSpec
 from .svgplot import line_plot
@@ -39,11 +40,6 @@ _POINT = 23  # slot position of the "."; digit j sits at 6 + j and at _POINT + j
 # hold-record rows per formatted block: half a hold block keeps the block's
 # arrays near what one hold block of rows took as Python strings
 _CSV_BLOCK = 512
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 # 10^p for p = 0..22, every one an exact double, and its Veltkamp split

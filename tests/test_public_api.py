@@ -89,6 +89,7 @@ def test_removed_options_are_gone():
         (adiaprep.predicted_series, "observable_label"),
         (adiaprep.decompose, "residual_tol"),
         (adiaprep.linalg.as_state_vector, "norm_tol"),
+        (adiaprep.ModelSpec, "oscillation_angular_frequency"),
     ):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):
