@@ -13,6 +13,7 @@ import numpy as np
 
 from .analyze import MEAN_ESTIMATORS, _beat_window, _HoldGridError
 from .evolve import INTEGRATORS
+from .measure import _hold_intervals
 from .model import (
     BUILTIN_MODELS,
     AdiabaticSchedule,
@@ -170,7 +171,7 @@ class ExperimentConfig:
                 f"must be a number > 0 (got {value!r})",
             )
         _require(
-            round(self.hold_duration / self.sample_dt_resolved) >= 1,
+            _hold_intervals(self.hold_duration, self.sample_dt_resolved) >= 1,
             "hold_duration",
             f"must exceed half a sample_dt of {self.sample_dt_resolved!r} (got {self.hold_duration!r})",
         )
@@ -241,7 +242,7 @@ class ExperimentConfig:
             )
         # the spacing and span of the grid hold_series lays out
         dt = self.sample_dt_resolved
-        span = round(self.hold_duration / dt) * dt
+        span = _hold_intervals(self.hold_duration, dt) * dt
         try:
             _beat_window(dt, span, base.oscillation_angular_frequency)
         except _HoldGridError as exc:

@@ -232,6 +232,15 @@ def _canonicalize(
     return lam, v
 
 
+def _jacobi_rotation(tau: float) -> tuple[float, float]:
+    """(t, c) of Rutishauser's rotation that zeroes h01, at tau = (h11 - h00) / (2|h01|)."""
+    if tau == 0.0:
+        t = 1.0
+    else:
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    return t, 1.0 / math.sqrt(1.0 + t * t)
+
+
 def _householder_ql(a: list[list[complex]], scale: float) -> EigenSystem:
     """Eigensystem of the Hermitian rows a, whose Frobenius norm is scale, by
     Householder reduction to tridiagonal form and implicit-shift QL; a is
@@ -330,17 +339,11 @@ def _implicit_ql(d: list[float], e: list[float], z: list[list[complex]]) -> None
             if m == l:
                 break
             if m == l + 1:
-                # a 2x2 block: one rotation diagonalises it, formed as in _eig2
-                el = e[l]
-                tau = (d[m] - d[l]) / (2.0 * el)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                # a 2x2 block: _eig2's one rotation diagonalises it
+                t, c = _jacobi_rotation((d[m] - d[l]) / (2.0 * e[l]))
                 s = t * c
-                d[l] -= t * el
-                d[m] += t * el
+                d[l] -= t * e[l]
+                d[m] += t * e[l]
                 e[l] = 0.0
                 zl, zm = z[l], z[m]
                 z[l] = [c * x - s * y for x, y in zip(zl, zm)]
@@ -410,16 +413,10 @@ def _eig2(a00: complex, a01: complex, a10: complex, a11: complex) -> EigenSystem
         return _householder_ql(*_hermitian_part([[a00, a01], [a10, a11]], HERMITICITY_TOL))
     lam0, lam1 = h00.real, h11.real
     if _SQRT2 * mod > JACOBI_RELATIVE_TOL * scale:
-        # the rotation G = [[c, u], [-conj(u), c]] of _rotate, which zeroes
-        # h01; G^H h G has the diagonal h00 - t|h01|, h11 + t|h01|
-        phase = h01 / mod
-        tau = (lam1 - lam0) / (2.0 * mod)
-        if tau == 0.0:
-            t = 1.0
-        else:
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        u = t * c * phase
+        # the rotation G = [[c, u], [-conj(u), c]] of tests/_oracles.py's
+        # _rotate zeroes h01; G^H h G has the diagonal h00 - t|h01|, h11 + t|h01|
+        t, c = _jacobi_rotation((lam1 - lam0) / (2.0 * mod))
+        u = t * c * (h01 / mod)
         lam0, lam1 = lam0 - t * mod, lam1 + t * mod
         # eigenvector columns (p0, p1) and (q0, q1)
         p0, p1, q0, q1 = complex(c), -u.conjugate(), u, complex(c)

@@ -37,6 +37,11 @@ def _shot_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, digest]))
 
 
+def _hold_intervals(duration: float, sample_dt: float) -> int:
+    """Sample intervals in a hold of this duration: the rounded ratio."""
+    return int(round(duration / sample_dt))
+
+
 def _residue_tolerance(m: np.ndarray) -> float:
     """Largest imaginary part <v|O|v> may keep: rounding scales with |O|."""
     return 1e-12 * max(1.0, float(np.max(np.abs(m))))
@@ -145,7 +150,7 @@ def hold_series(
     v = as_state_vector(v_end)
     if v.shape[0] != spec.dim or observable.dim != spec.dim:
         raise ValueError("state, model, and observable dimensions must agree")
-    n = int(round(duration / sample_dt)) + 1
+    n = _hold_intervals(duration, sample_dt) + 1
     if n < 2:
         raise ValueError("hold window shorter than one sample interval")
     times = np.arange(n, dtype=np.float64) * sample_dt

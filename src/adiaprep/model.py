@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_state_vector
+from .linalg import _jacobi_rotation, as_complex_matrix, as_state_vector
 
 __all__ = [
     "AdiabaticSchedule",
@@ -27,15 +27,13 @@ __all__ = [
     "pauli",
 ]
 
-_SQRT2 = float(np.sqrt(2.0))
-
 _PAULI: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
-_PAULI["H"] = (_PAULI["X"] + _PAULI["Z"]) / _SQRT2
+_PAULI["H"] = (_PAULI["X"] + _PAULI["Z"]) / float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -176,41 +174,39 @@ class ModelSpec:
         return np.vdot(g, o @ g).real, np.vdot(e, o @ e).real, np.vdot(g, o @ e)
 
 
-def _builtin_model(coupling: float, target: str, ground: np.ndarray, excited: np.ndarray) -> ModelSpec:
-    """Ramp -J*Z into -J*target, with the target's closed-form reference pair."""
+def _builtin_model(coupling: float, target: str, tau: float) -> ModelSpec:
+    """Ramp -J*Z into -J*target, whose reference pair is eig_hermitian's one
+    Jacobi rotation at the target's tau = (h11 - h00) / (2|h01|), exact at any J."""
     if not (np.isfinite(coupling) and coupling > 0.0):
         raise ValueError(f"coupling must be positive, got {coupling!r}")
     j = float(coupling)
+    t, c = _jacobi_rotation(tau)
     return ModelSpec(
         initial=HermitianOperator(-j * _PAULI["Z"], "-J*Z"),
         target=HermitianOperator(-j * _PAULI[target], f"-J*{target}"),
         observables=(),
-        reference_ground_state=ground,
-        reference_excited_state=excited,
+        reference_ground_state=np.array([c, t * c], dtype=np.complex128),
+        reference_excited_state=np.array([t * c, -c], dtype=np.complex128),
     )
 
 
 def model_one(coupling: float) -> ModelSpec:
-    """Bit-flip benchmark: ramp -J*Z into -J*X.
+    """Bit-flip benchmark: ramp -J*Z into -J*X, whose pair is (|+>, |->).
 
     Z anti-commutes with the target, so any residual excitation makes <Z>
     oscillate around zero during the hold; -X commutes and is conserved.
     """
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / _SQRT2
-    minus = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
-    return _builtin_model(coupling, "X", plus, minus)
+    return _builtin_model(coupling, "X", 0.0)
 
 
 def model_two(coupling: float) -> ModelSpec:
     """Hadamard benchmark: ramp -J*Z into -J*H.
 
-    The target ground state (1, sqrt(2)-1)/sqrt(4-2*sqrt(2)) has <Z> =
-    1/sqrt(2), so the hold-phase <Z> record oscillates around an offset and
-    its time average is biased by the excited-state weight.
+    The target ground state (cos(pi/8), sin(pi/8)) has <Z> = 1/sqrt(2), so
+    the hold-phase <Z> record oscillates around an offset and its time
+    average is biased by the excited-state weight.
     """
-    ground = np.array([1.0, _SQRT2 - 1.0], dtype=np.complex128) / np.sqrt(4.0 - 2.0 * _SQRT2)
-    excited = np.array([1.0, -(_SQRT2 + 1.0)], dtype=np.complex128) / np.sqrt(4.0 + 2.0 * _SQRT2)
-    return _builtin_model(coupling, "H", ground, excited)
+    return _builtin_model(coupling, "H", 1.0)
 
 
 # the built-in models by config name

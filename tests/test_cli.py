@@ -394,6 +394,13 @@ def _beside(top, block):
     return m
 
 
+def _seeded_block(rng, n):
+    # a Hermitian block whose spectrum lies in [2, 4], above model2's [-1, 1]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = (g + g.conj().T) / 2.0
+    return a / np.linalg.norm(a) + 3.0 * np.eye(n)
+
+
 @pytest.mark.parametrize("integrator", ["trotter2", "exact-midpoint"])
 def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
     # fig2's 2x2 block beside seeded 3x3 blocks whose spectra lie in [2, 4],
@@ -404,19 +411,13 @@ def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
     # agree to the bit today; the bound leaves room for the last bits, and the
     # sampled headline must be equal, as the benchmark requires.
     rng = np.random.default_rng(11)
-
-    def seeded_block(n):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = (g + g.conj().T) / 2.0
-        return a / np.linalg.norm(a) + 3.0 * np.eye(n)
-
     z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     plain = replace(preset_config("fig2"), total_time=4.5, shots=10_000, integrator=integrator)
     data = plain.to_dict()
     data.update(
         model={
-            "initial": _json_matrix(_beside(-z, seeded_block(3))),
-            "target": _json_matrix(_beside(-(x + z) / np.sqrt(2.0), seeded_block(3))),
+            "initial": _json_matrix(_beside(-z, _seeded_block(rng, 3))),
+            "target": _json_matrix(_beside(-(x + z) / np.sqrt(2.0), _seeded_block(rng, 3))),
         },
         observables=[{"label": "Z", "matrix": _json_matrix(_beside(z, np.zeros((3, 3))))}],
     )
@@ -431,6 +432,33 @@ def test_block_diagonal_inline_model_reproduces_the_model2_run(integrator):
     for key in ("beta_sq", "raw_average", "corrected_value"):
         assert got[key] == want[key], key
         assert exact[0][key] == pytest.approx(exact[1][key], rel=1e-12, abs=1e-15), key
+
+
+@pytest.mark.parametrize("seed", [115, 211])
+def test_wide_inline_seeds_reproduce_the_model2_headline_to_the_bit(seed):
+    # the benchmark's wide_inline config at the two seeds of 0-449 whose
+    # sampled beta_sq sits on a rounding edge: built in the same rng draw
+    # order, its dimension-8 run must give the plain model2 run's headline at
+    # rtol 0, which holds only while model2's reference pair is the
+    # eigensolver's own (a closed form 1 ulp off it failed both seeds)
+    rng = np.random.default_rng(seed)
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    data = dict(
+        PRESETS["fig2"],
+        model={
+            "name": "fig2+6x6",
+            "initial": _json_matrix(_beside(-z, _seeded_block(rng, 6))),
+            "target": _json_matrix(_beside(-(x + z) / np.sqrt(2.0), _seeded_block(rng, 6))),
+        },
+        total_time=9.0,
+        seed=int(rng.integers(0, 2**63)),
+        observables=[{"label": "Z", "matrix": _json_matrix(_beside(z, np.zeros((6, 6))))}],
+    )
+    wide = config_from_dict(data, source="wide_inline")
+    plain = replace(wide, model="model2", observables=("Z",))
+    got, want = run_experiment(wide).summary, run_experiment(plain).summary
+    for key in ("beta_sq", "raw_average", "corrected_value"):
+        assert got[key] == want[key], key
 
 
 def test_cli_diagnoses_an_inline_observable_by_its_reference_pair(tmp_path):
