@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import ResidualDecomposition
+from .linalg import _read_only
 from .measure import TimeSeries, _residue_tolerance
 from .model import HermitianOperator, ModelSpec
 
@@ -112,7 +113,7 @@ def oscillation_stats(
     else:
         raise ValueError(f"channel must be 'exact' or 'sampled', got {channel!r}")
 
-    span = float(series.times[-1] - series.times[0])
+    span = (series.n_points - 1) * series.spacing
     per_period, periods = _beat_window(series.spacing, span, angular_frequency)
     # half-open window [0, periods*period): commensurate grids sum whole
     # cosine periods exactly, which is what makes the variance identity exact
@@ -231,15 +232,13 @@ def predicted_series(
     spec: ModelSpec,
     times: np.ndarray,
     observable: HermitianOperator,
-) -> TimeSeries:
-    """Hold record implied by a residual decomposition, for any observable.
+) -> np.ndarray:
+    """The hold record a residual decomposition implies at these times, for any observable.
 
     The state a|g> + b*e^{-i*theta}|e> held under the target gives
     a^2*O_gg + b^2*O_ee + 2ab*Re(e^{-i(w*t + theta)}*O_ge), O_xy = <x|O|y>.
     """
     o_gg, o_ee, o_ge = spec.pair_elements(observable)
     a, b = decomposition.alpha_mod, decomposition.beta_mod
-    t = np.asarray(times, dtype=np.float64)
-    phase = spec.oscillation_angular_frequency * t + decomposition.theta
-    y = a * a * o_gg + b * b * o_ee + 2.0 * a * b * (np.exp(-1j * phase) * o_ge).real
-    return TimeSeries(t, y, None, None, 0, f"{observable.label} (predicted)")
+    phase = spec.oscillation_angular_frequency * np.asarray(times, dtype=np.float64) + decomposition.theta
+    return _read_only(a * a * o_gg + b * b * o_ee + 2.0 * a * b * (np.exp(-1j * phase) * o_ge).real)

@@ -170,8 +170,12 @@ class ExperimentConfig:
                 name,
                 f"must be a number > 0 (got {value!r})",
             )
+        try:
+            intervals = _hold_intervals(self.hold_duration, self.sample_dt_resolved)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'hold_duration'/'sample_dt': {exc}") from exc
         _require(
-            _hold_intervals(self.hold_duration, self.sample_dt_resolved) >= 1,
+            intervals >= 1,
             "hold_duration",
             f"must exceed half a sample_dt of {self.sample_dt_resolved!r} (got {self.hold_duration!r})",
         )

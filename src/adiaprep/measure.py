@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenSystem, as_state_vector, eig_hermitian
+from .linalg import EigenSystem, _read_only, as_state_vector, eig_hermitian
 from .model import HermitianOperator, ModelSpec
 
 __all__ = ["TimeSeries", "hold_series"]
@@ -39,7 +39,10 @@ def _shot_stream(seed: int, label: str) -> np.random.Generator:
 
 def _hold_intervals(duration: float, sample_dt: float) -> int:
     """Sample intervals in a hold of this duration: the rounded ratio."""
-    return int(round(duration / sample_dt))
+    ratio = duration / sample_dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"a hold of {duration!r} has too many sample intervals of {sample_dt!r}")
+    return int(round(ratio))
 
 
 def _residue_tolerance(m: np.ndarray) -> float:
@@ -76,13 +79,14 @@ def _sample_means(
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled expectation record over the hold window.
+    """Expectation record over the hold window, on a grid of uniform spacing.
 
-    Times are offsets from the end of preparation (0 is the instant the
-    ramp stops). sampled_values/stderr_values are None for exact-only runs.
+    times, k*spacing for k < n_points, are offsets from the end of preparation
+    (0 is the instant the ramp stops). sampled_values/stderr_values are None
+    for exact-only runs.
     """
 
-    times: np.ndarray
+    spacing: float
     exact_values: np.ndarray
     sampled_values: np.ndarray | None
     stderr_values: np.ndarray | None
@@ -90,39 +94,29 @@ class TimeSeries:
     observable_label: str
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=np.float64)
+        if not (np.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
         y = np.asarray(self.exact_values, dtype=np.float64)
-        if t.ndim != 1 or t.shape[0] < 2:
+        if y.ndim != 1 or y.shape[0] < 2:
             raise ValueError("a time series needs at least two points")
-        if y.shape != t.shape:
-            raise ValueError("exact_values shape does not match times")
-        # one block of gaps at a time, so a long record needs no whole-record temporaries
-        for start in range(0, t.shape[0] - 1, _HOLD_BLOCK):
-            gaps = np.diff(t[start : start + _HOLD_BLOCK + 1])
-            if np.any(gaps <= 0.0) or float(np.max(np.abs(gaps - (t[1] - t[0])))) > 1e-12:
-                raise ValueError("times must be strictly increasing with uniform spacing")
         if self.shots_per_point < 0:
             raise ValueError("shots_per_point must be >= 0")
         for name in ("sampled_values", "stderr_values"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr, dtype=np.float64)
-                if arr.shape != t.shape:
-                    raise ValueError(f"{name} shape does not match times")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
-        t.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "exact_values", y)
+                if arr.shape != y.shape:
+                    raise ValueError(f"{name} shape does not match exact_values")
+                object.__setattr__(self, name, _read_only(arr))
+        object.__setattr__(self, "exact_values", _read_only(y))
 
     @property
     def n_points(self) -> int:
-        return self.times.shape[0]
+        return self.exact_values.shape[0]
 
     @property
-    def spacing(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return _read_only(np.arange(self.n_points, dtype=np.float64) * self.spacing)
 
 
 def hold_series(
@@ -153,7 +147,6 @@ def hold_series(
     n = _hold_intervals(duration, sample_dt) + 1
     if n < 2:
         raise ValueError("hold window shorter than one sample interval")
-    times = np.arange(n, dtype=np.float64) * sample_dt
     es = eig_hermitian(spec.target.matrix)
     energies, vectors = es.eigenvalues, es.eigenvectors
     coeff = vectors.conj().T @ v
@@ -166,7 +159,8 @@ def hold_series(
     residue = 0.0
     for start in range(0, n, _HOLD_BLOCK):
         block = slice(start, start + _HOLD_BLOCK)
-        phased = np.exp(-1j * np.outer(times[block], energies)) * coeff
+        times = np.arange(start, min(start + _HOLD_BLOCK, n), dtype=np.float64) * sample_dt
+        phased = np.exp(-1j * np.outer(times, energies)) * coeff
         states = _matvec_rows(vectors, phased)
         values = _dot_rows(states.conj(), _matvec_rows(observable.matrix, states))
         residue = max(residue, float(np.max(np.abs(values.imag))))
@@ -177,7 +171,7 @@ def hold_series(
         raise ArithmeticError(f"expectation has imaginary residue {residue:.3e}")
 
     return TimeSeries(
-        times=times,
+        spacing=sample_dt,
         exact_values=exact,
         sampled_values=sampled,
         stderr_values=stderr,

@@ -86,6 +86,8 @@ class AdiabaticSchedule:
         if not (np.isfinite(self.step_width) and self.step_width > 0.0):
             raise ValueError(f"step_width must be positive and finite, got {self.step_width!r}")
         ratio = self.total_time / self.step_width
+        if not np.isfinite(ratio):
+            raise ValueError(f"a ramp of {self.total_time!r} has too many steps of {self.step_width!r}")
         n = int(round(ratio))
         if n < 1:
             raise ValueError(

@@ -209,7 +209,7 @@ class RunResult:
     config: ExperimentConfig
     summary: dict
     series: dict[str, TimeSeries]
-    predictions: dict[str, TimeSeries]
+    predictions: dict[str, np.ndarray]
 
 
 def _fields(result) -> dict:
@@ -235,7 +235,7 @@ def _run(cfg: ExperimentConfig, spec: ModelSpec, schedule: AdiabaticSchedule) ->
     channels = ("exact", "sampled") if cfg.shots > 0 else ("exact",)
 
     series_map: dict[str, TimeSeries] = {}
-    predictions: dict[str, TimeSeries] = {}
+    predictions: dict[str, np.ndarray] = {}
     observables_summary: dict[str, dict] = {}
 
     for observable in spec.observables:
@@ -330,7 +330,7 @@ def write_artifacts(result: RunResult) -> list[Path]:
             if series.sampled_values is not None:
                 curves.append(("sampled", series.sampled_values, "#9ecae1"))
             curves.append(("exact", series.exact_values, "#1f77b4"))
-            curves.append(("predicted", result.predictions[label].exact_values, "#ff7f0e"))
+            curves.append(("predicted", result.predictions[label], "#ff7f0e"))
             line_plot(
                 path,
                 series.times,

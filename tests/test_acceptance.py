@@ -154,7 +154,7 @@ def test_criterion_6_recovery_oracle(report):
         ab = np.sqrt(beta_sq * (1.0 - beta_sq))
         values = c * (1.0 - 2.0 * beta_sq) + 2.0 * c * ab * np.cos(2.0 * j * tau + theta)
         series = TimeSeries(
-            times=tau,
+            spacing=(np.pi / j) / per_period,
             exact_values=values,
             sampled_values=None,
             stderr_values=None,

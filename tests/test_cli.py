@@ -631,6 +631,17 @@ def _inline(initial=_Z, target=_X, extra=""):
          "config field 'sample_dt': 4 samples per period; need at least 16"),
         ("fig2", ["hold_duration=2"], None,
          "config field 'hold_duration': record spans 0.5 periods; need at least one"),
+        # interval and step counts that overflow a float
+        ("fig2", ["sample_dt=1e-320"], None,
+         "config field 'hold_duration'/'sample_dt': "
+         "a hold of 16.0 has too many sample intervals of 1e-320"),
+        ("fig2", ["hold_duration=1e308", "sample_dt=1e-10"], None,
+         "config field 'hold_duration'/'sample_dt': "
+         "a hold of 1e+308 has too many sample intervals of 1e-10"),
+        ("fig2", ["total_time=1e308", "step_width=1e-10"], None,
+         "config field 'total_time'/'step_width': a ramp of 1e+308 has too many steps of 1e-10"),
+        ("fig2", ["step_width=1e-320"], None,
+         "config field 'total_time'/'step_width': a ramp of 36.0 has too many steps of 1e-320"),
     ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(

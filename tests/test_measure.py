@@ -68,15 +68,15 @@ def test_sampler_streams_differ_by_label():
 
 
 def test_time_series_validation():
-    t = np.array([0.0, 0.1, 0.2])
     y = np.zeros(3)
-    with pytest.raises(ValueError, match="uniform"):
-        TimeSeries(np.array([0.0, 0.1, 0.5]), y, None, None, 0, "Z")
+    for spacing in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            TimeSeries(spacing, y, None, None, 0, "Z")
     with pytest.raises(ValueError, match="shape"):
-        TimeSeries(t, np.zeros(4), None, None, 0, "Z")
+        TimeSeries(0.1, y, np.zeros(4), None, 0, "Z")
     with pytest.raises(ValueError, match="at least two"):
-        TimeSeries(np.array([0.0]), np.zeros(1), None, None, 0, "Z")
-    series = TimeSeries(t, y, None, None, 0, "Z")
+        TimeSeries(0.1, np.zeros(1), None, None, 0, "Z")
+    series = TimeSeries(0.1, y, None, None, 0, "Z")
     assert series.n_points == 3
     assert series.spacing == pytest.approx(0.1)
 
@@ -331,6 +331,14 @@ def test_long_hold_memory_stays_within_a_few_blocks(tmp_path):
     returned = sum(getattr(series, f).nbytes for f in SERIES_FIELDS)
     allowance = 4 * measure._HOLD_BLOCK * 256
     assert peak <= returned + allowance, (peak, returned)
+
+
+def test_hold_past_t_8192_keeps_its_grid():
+    # past t = 2^13 one ulp of t is 1.8e-12, more than a 1e-12 spacing tolerance allows
+    spec = model_one(1.0)
+    series = hold_series(spec.reference_ground_state, spec, pauli("Z"), 1e4, 0.1, 0, 0)
+    assert series.n_points == 100_001
+    assert series.times[-1] == 100_000 * 0.1
 
 
 def test_heisenberg_z_closed_form_at_zero_is_z():

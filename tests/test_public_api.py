@@ -77,6 +77,11 @@ def test_removed_names_are_gone():
     assert [f.name for f in dataclasses.fields(adiaprep.RunResult)] == [
         "config", "summary", "series", "predictions",
     ]
+    # a hold record keeps its grid spacing; its times are k*spacing
+    assert [f.name for f in dataclasses.fields(adiaprep.TimeSeries)] == [
+        "spacing", "exact_values", "sampled_values", "stderr_values", "shots_per_point",
+        "observable_label",
+    ]
 
 
 def test_removed_options_are_gone():
@@ -90,6 +95,7 @@ def test_removed_options_are_gone():
         (adiaprep.decompose, "residual_tol"),
         (adiaprep.linalg.as_state_vector, "norm_tol"),
         (adiaprep.ModelSpec, "oscillation_angular_frequency"),
+        (adiaprep.TimeSeries, "times"),
     ):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     with pytest.raises(ConfigError, match=r"unknown fields \['hold_integrator'\]"):

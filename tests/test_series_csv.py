@@ -120,7 +120,7 @@ def _record_with_fallback_cells() -> TimeSeries:
     for column in (exact, sampled, stderr):
         column[1 : 1 + len(special)] = special
         column[n - len(special) :] = special[::-1]
-    return TimeSeries(np.arange(n) * 0.125, exact, sampled, stderr, 1000, "Z")
+    return TimeSeries(0.125, exact, sampled, stderr, 1000, "Z")
 
 
 def _records(case: str) -> tuple[list[TimeSeries], float]:
