@@ -15,7 +15,7 @@ import numpy as np
 
 from .evolve import ResidualDecomposition
 from .linalg import _read_only
-from .measure import TimeSeries, _residue_tolerance
+from .measure import TimeSeries, _HoldGridError, _residue_tolerance
 from .model import HermitianOperator, ModelSpec
 
 __all__ = [
@@ -60,15 +60,6 @@ class OscillationStats:
             raise ValueError(
                 f"variance {self.variance!r} inconsistent with amplitude {self.amplitude!r}"
             )
-
-
-class _HoldGridError(ValueError):
-    """A hold record too coarse or too short to show the beat; field names
-    the config field that sets it."""
-
-    def __init__(self, message: str, field: str) -> None:
-        super().__init__(message)
-        self.field = field
 
 
 def _beat_window(spacing: float, span: float, angular_frequency: float) -> tuple[float, int]:

@@ -6,14 +6,15 @@ import copy
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analyze import MEAN_ESTIMATORS, _beat_window, _HoldGridError
+from .analyze import MEAN_ESTIMATORS, _beat_window
 from .evolve import INTEGRATORS
-from .measure import _hold_intervals
+from .measure import _HoldGridError, _hold_intervals
 from .model import (
     BUILTIN_MODELS,
     AdiabaticSchedule,
@@ -100,6 +101,10 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"config field {field_name!r}: {message}")
 
 
+def _grid_error(exc: _HoldGridError) -> ConfigError:
+    return ConfigError(f"config field {'/'.join(map(repr, exc.fields))}: {exc}")
+
+
 def _is_number(x) -> bool:
     # JSON true/false arrive as bool, an int subclass
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -137,7 +142,7 @@ def _matrix_from_json(value, field_name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One ramp-and-hold experiment, fully determined by these fields."""
+    """One ramp-and-hold experiment, fully determined by these fields and checked when built."""
 
     model: str | dict
     coupling: float
@@ -152,6 +157,9 @@ class ExperimentConfig:
     mean_estimator: str = "minmax"
     outputs: OutputOptions = field(default_factory=OutputOptions)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         _require(
             isinstance(self.model, (str, dict)),
@@ -165,20 +173,12 @@ class ExperimentConfig:
             positive.append("sample_dt")
         for name in positive:
             value = getattr(self, name)
-            _require(
-                _is_number(value) and math.isfinite(value) and value > 0,
-                name,
-                f"must be a number > 0 (got {value!r})",
-            )
+            valid = _is_number(value) and 0 < value <= sys.float_info.max
+            _require(valid, name, f"must be a finite number > 0 (got {value!r})")
         try:
-            intervals = _hold_intervals(self.hold_duration, self.sample_dt_resolved)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'hold_duration'/'sample_dt': {exc}") from exc
-        _require(
-            intervals >= 1,
-            "hold_duration",
-            f"must exceed half a sample_dt of {self.sample_dt_resolved!r} (got {self.hold_duration!r})",
-        )
+            _hold_intervals(self.hold_duration, self.sample_dt_resolved)
+        except _HoldGridError as exc:
+            raise _grid_error(exc) from exc
         _require(
             isinstance(self.shots, int) and not isinstance(self.shots, bool) and 0 <= self.shots < 2**63,
             "shots",
@@ -250,7 +250,7 @@ class ExperimentConfig:
         try:
             _beat_window(dt, span, base.oscillation_angular_frequency)
         except _HoldGridError as exc:
-            raise ConfigError(f"config field {exc.field!r}: {exc}") from exc
+            raise _grid_error(exc) from exc
         return replace(base, observables=resolved)
 
     def _build_inline_model(self) -> ModelSpec:
@@ -356,9 +356,7 @@ def config_from_dict(data: dict, *, source: str = "config") -> ExperimentConfig:
         if not isinstance(obs, (list, tuple)):
             raise ConfigError(f"{source}: observables must be a list")
         kwargs["observables"] = tuple(obs)
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -379,7 +377,7 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's int digit limit
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
@@ -403,7 +401,7 @@ def apply_set_overrides(data: dict, assignments: list[str]) -> dict:
             raise ConfigError(f"bad --set {raw!r}: empty key")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer past Python's int digit limit
             value = text
         node = result
         parts = key.split(".")

@@ -13,6 +13,7 @@ pass, and the shots continue one stream across blocks.
 from __future__ import annotations
 
 import numbers
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -37,12 +38,30 @@ def _shot_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, digest]))
 
 
+class _HoldGridError(ValueError):
+    """A hold grid that cannot be laid out or show the beat, and the config fields that set it."""
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
+
+
 def _hold_intervals(duration: float, sample_dt: float) -> int:
-    """Sample intervals in a hold of this duration: the rounded ratio."""
+    """Sample intervals in a hold of this duration: the rounded ratio, at least
+    one and at most 2^53, the largest count whose indices are exact doubles."""
+    if not 0.0 < duration <= sys.float_info.max:
+        raise _HoldGridError(f"duration must be positive, got {duration!r}", "hold_duration")
+    if not 0.0 < sample_dt <= sys.float_info.max:
+        raise _HoldGridError(f"sample_dt must be positive, got {sample_dt!r}", "sample_dt")
     ratio = duration / sample_dt
-    if not np.isfinite(ratio):
-        raise ValueError(f"a hold of {duration!r} has too many sample intervals of {sample_dt!r}")
-    return int(round(ratio))
+    if not ratio <= 2.0**53:
+        message = f"a hold of {duration!r} has too many sample intervals of {sample_dt!r}"
+        raise _HoldGridError(message, "hold_duration", "sample_dt")
+    n = int(round(ratio))
+    if n < 1:
+        message = f"must exceed half a sample_dt of {sample_dt!r} (got {duration!r})"
+        raise _HoldGridError(f"{message}: the hold is shorter than one sample interval", "hold_duration")
+    return n
 
 
 def _residue_tolerance(m: np.ndarray) -> float:
@@ -135,18 +154,12 @@ def hold_series(
     average of `shots` projective measurements and its standard error, drawn
     from the shot stream that seed gives the observable's label.
     """
-    if not (np.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be positive, got {duration!r}")
-    if not (np.isfinite(sample_dt) and sample_dt > 0.0):
-        raise ValueError(f"sample_dt must be positive, got {sample_dt!r}")
+    n = _hold_intervals(duration, sample_dt) + 1
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 0:
         raise ValueError(f"shots must be a nonnegative integer, got {shots!r}")
     v = as_state_vector(v_end)
     if v.shape[0] != spec.dim or observable.dim != spec.dim:
         raise ValueError("state, model, and observable dimensions must agree")
-    n = _hold_intervals(duration, sample_dt) + 1
-    if n < 2:
-        raise ValueError("hold window shorter than one sample interval")
     es = eig_hermitian(spec.target.matrix)
     energies, vectors = es.eigenvalues, es.eigenvectors
     coeff = vectors.conj().T @ v

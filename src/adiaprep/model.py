@@ -10,6 +10,7 @@ target (-J*H) whose ground state is not a Pauli eigenstate.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,18 +76,20 @@ def observable_from_label(label: str) -> HermitianOperator:
 
 @dataclass(frozen=True)
 class AdiabaticSchedule:
-    """Linear ramp profile s(t) = t/T discretized into steps of fixed width."""
+    """Linear ramp profile s(t) = t/T in num_steps steps of fixed width, at
+    most 2^53, the largest count whose step indices are exact doubles."""
 
     total_time: float
     step_width: float
+    num_steps: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.total_time) and self.total_time > 0.0):
+        if not 0.0 < self.total_time <= sys.float_info.max:
             raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
-        if not (np.isfinite(self.step_width) and self.step_width > 0.0):
+        if not 0.0 < self.step_width <= sys.float_info.max:
             raise ValueError(f"step_width must be positive and finite, got {self.step_width!r}")
         ratio = self.total_time / self.step_width
-        if not np.isfinite(ratio):
+        if not ratio <= 2.0**53:
             raise ValueError(f"a ramp of {self.total_time!r} has too many steps of {self.step_width!r}")
         n = int(round(ratio))
         if n < 1:
@@ -98,10 +101,7 @@ class AdiabaticSchedule:
                 f"step_width {self.step_width!r} does not divide total_time "
                 f"{self.total_time!r} (ratio {ratio!r})"
             )
-
-    @property
-    def num_steps(self) -> int:
-        return int(round(self.total_time / self.step_width))
+        object.__setattr__(self, "num_steps", n)
 
     def s(self, t: float) -> float:
         """Ramp parameter at time t, clipped to [0, 1]."""

@@ -169,6 +169,50 @@ def test_sweep_checks_every_value_before_the_first_ramp(tmp_path, monkeypatch, c
     assert ramps == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["sample_dt=1e-300"],
+         "config field 'hold_duration'/'sample_dt': "
+         "a hold of 16.0 has too many sample intervals of 1e-300"),
+        (["step_width=1e-300", "sample_dt=0.041666666666666664"],
+         "config field 'total_time'/'step_width': a ramp of 36.0 has too many steps of 1e-300"),
+    ],
+)
+def test_run_rejects_grids_past_2_53_before_the_ramp(overrides, message, tmp_path, monkeypatch, capsys):
+    # a ramp of 3.6e301 steps would never end: a ramp that starts fails the test at once
+    def no_ramp(*args, **kwargs):
+        raise AssertionError("the ramp started")
+
+    monkeypatch.setattr(runner, "run_adiabatic", no_ramp)
+    out = tmp_path / "out"
+    args = ["run", "--preset", "fig2", "--out", str(out)]
+    for override in overrides:
+        args += ["--set", override]
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_names_a_value_past_the_float_range(tmp_path, monkeypatch, capsys):
+    # float(10**400) overflows: the value goes to the config as it is, which names it
+    ramps = []
+    monkeypatch.setattr(runner, "run_adiabatic", lambda *args, **kwargs: ramps.append(args))
+    out = tmp_path / "out"
+    args = ["sweep", "--preset", "fig2", "--set", "shots=0", "--parameter", "T",
+            "--values", f"4.5,{10**400}", "--out", str(out)]
+    assert run_cli(args) == 2
+    assert "config field 'total_time': must be a finite number > 0" in capsys.readouterr().err
+    assert ramps == [] and not out.exists()
+
+
+def test_a_config_is_checked_when_it_is_built():
+    with pytest.raises(ConfigError, match=r"^config field 'shots': "):
+        replace(preset_config("fig2"), shots=-1)
+    with pytest.raises(ConfigError, match=r"^config field 'hold_duration': must exceed half a sample_dt"):
+        replace(preset_config("fig2"), sample_dt=100.0)
+
+
 def test_hold_grid_check_reads_the_grid_the_hold_lays_out(tmp_path):
     # 3.99 rounds to 96 intervals of 1/24, one whole period of 4, and a
     # sample_dt of 1/4 gives exactly 16 samples per period: both run
@@ -642,6 +686,15 @@ def _inline(initial=_Z, target=_X, extra=""):
          "config field 'total_time'/'step_width': a ramp of 1e+308 has too many steps of 1e-10"),
         ("fig2", ["step_width=1e-320"], None,
          "config field 'total_time'/'step_width': a ramp of 36.0 has too many steps of 1e-320"),
+        # finite counts past 2^53, the largest count whose indices are exact doubles
+        ("fig2", ["sample_dt=1e-300"], None,
+         "config field 'hold_duration'/'sample_dt': "
+         "a hold of 16.0 has too many sample intervals of 1e-300"),
+        ("fig2", ["step_width=1e-300", "sample_dt=0.041666666666666664"], None,
+         "config field 'total_time'/'step_width': a ramp of 36.0 has too many steps of 1e-300"),
+        # JSON integers past the float range
+        *[("fig2", [f"{name}={10**400}"], None, f"config field {name!r}: must be a finite number > 0")
+          for name in ("coupling", "total_time", "step_width", "hold_duration", "sample_dt")],
     ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(
@@ -662,6 +715,18 @@ def test_cli_config_errors_exit_2_naming_the_field(
         args += ["--set", override]
     assert run_cli(args) == 2
     assert message in capsys.readouterr().err
+
+
+def test_an_integer_past_the_int_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer literal past Python's
+    # 4,300-digit int-string limit; without that limit the field check names it
+    digits = "1" + "0" * 5000
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRESETS["fig2"], "coupling": 0}).replace('"coupling": 0', f'"coupling": {digits}'))
+    for args in (["--config", str(path)], ["--preset", "fig2", "--set", f"coupling={digits}"]):
+        assert run_cli(["validate", *args]) == 2, args[0]
+        err = capsys.readouterr().err
+        assert f"config file {path} is not valid JSON" in err or "config field 'coupling'" in err
 
 
 def test_non_hermitian_inline_observable_names_the_observables_field():

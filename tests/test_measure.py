@@ -7,7 +7,14 @@ import pytest
 from adiaprep import measure
 from adiaprep.evolve import run_adiabatic
 from adiaprep.linalg import eig_hermitian
-from adiaprep.measure import TimeSeries, _sample_means, _shot_stream, hold_series
+from adiaprep.measure import (
+    TimeSeries,
+    _HoldGridError,
+    _hold_intervals,
+    _sample_means,
+    _shot_stream,
+    hold_series,
+)
 from adiaprep.model import (
     AdiabaticSchedule,
     HermitianOperator,
@@ -255,6 +262,22 @@ def test_hold_series_validation():
         assert hold_series(psi, spec, pauli("Z"), 1.0, 0.1, shots, 0).shots_per_point == 3
     with pytest.raises(ValueError, match="shorter than one sample interval"):
         hold_series(psi, spec, pauli("Z"), 0.04, 0.1, 0, 0)
+
+
+def test_hold_intervals_is_the_one_hold_grid_check():
+    # 2^53 is the largest count whose grid indices are all exact doubles
+    assert _hold_intervals(2.0**53, 1.0) == 2**53
+    cases = [
+        ((2.0**54, 1.0), "too many sample intervals", ("hold_duration", "sample_dt")),
+        ((0.04, 0.1), r"must exceed half a sample_dt of 0\.1 \(got 0\.04\): "
+         "the hold is shorter than one sample interval", ("hold_duration",)),
+        ((10**400, 1.0), "duration must be positive", ("hold_duration",)),
+        ((1.0, float("nan")), "sample_dt must be positive", ("sample_dt",)),
+    ]
+    for args, message, fields in cases:
+        with pytest.raises(_HoldGridError, match=message) as info:
+            _hold_intervals(*args)
+        assert info.value.fields == fields
 
 
 SERIES_FIELDS = ("times", "exact_values", "sampled_values", "stderr_values")

@@ -211,8 +211,17 @@ def test_schedule_validation():
         AdiabaticSchedule(-1.0, 0.1)
     with pytest.raises(ValueError, match="step_width"):
         AdiabaticSchedule(1.0, 0.0)
+    # an int past the float range, or NaN, fails the range comparison
+    with pytest.raises(ValueError, match="total_time must be positive and finite"):
+        AdiabaticSchedule(10**400, 1.0)
+    with pytest.raises(ValueError, match="step_width must be positive and finite"):
+        AdiabaticSchedule(36.0, float("nan"))
     with pytest.raises(ValueError, match="exceeds"):
         AdiabaticSchedule(1.0, 10.0)
+    # past 2^53 steps, the largest count whose indices are all exact doubles
+    for total_time in (2.0**53 + 2.0, 2.0**54):
+        with pytest.raises(ValueError, match="too many steps"):
+            AdiabaticSchedule(total_time, 1.0)
 
 
 def test_schedule_step_counts():
@@ -220,6 +229,7 @@ def test_schedule_step_counts():
     assert sched.num_steps == 288
     single = AdiabaticSchedule(0.125, 0.125)
     assert single.num_steps == 1
+    assert AdiabaticSchedule(2.0**53, 1.0).num_steps == 2**53
 
 
 def test_schedule_rejects_a_step_that_does_not_divide():

@@ -91,6 +91,7 @@ def test_removed_options_are_gone():
         (adiaprep.hold_series, "substep_width"),
         (adiaprep.hold_series, "sampler"),
         (adiaprep.AdiabaticSchedule, "profile"),
+        (adiaprep.AdiabaticSchedule, "num_steps"),
         (adiaprep.predicted_series, "observable_label"),
         (adiaprep.decompose, "residual_tol"),
         (adiaprep.linalg.as_state_vector, "norm_tol"),
